@@ -39,7 +39,7 @@ from .domain import (
     slice_lower_bound,
     slice_point,
 )
-from .envelope import EnvelopeQuery, ObstacleGrid, concavify, envelope_slice, sample_boundary
+from .envelope import EnvelopeQuery, ObstacleGrid, concavify, sample_boundary
 from .moduli import SStar, delta, delta_closed_form, delta_implicit, delta_via_s_star, solve_s_star
 from .numerics import Bracket, LpProblem, bisect_root, central_diff, scan_extremum, solve_lp
 
@@ -71,7 +71,6 @@ __all__ = [
     "delta_closed_form",
     "delta_implicit",
     "delta_via_s_star",
-    "envelope_slice",
     "format_witness",
     "hanner_gap",
     "majorization_gap",

@@ -68,12 +68,6 @@ class StepPair:
     def g_values(self) -> np.ndarray:
         return np.array([g for _, _, g in self.atoms])
 
-    def f_marginal(self) -> StepFunction:
-        return StepFunction(tuple((a, f) for a, f, _ in self.atoms))
-
-    def g_marginal(self) -> StepFunction:
-        return StepFunction(tuple((a, g) for a, _, g in self.atoms))
-
     def merge(self, other: "StepPair", weight: float) -> "StepPair":
         """Concatenate on subintervals of mass ``weight`` and 1 - ``weight``.
 

@@ -7,17 +7,13 @@ brute-force columns), and ``bruteforce`` (a single search probe).
 
 Exit codes: 0 success, 1 a mathematical verification failed, 2 usage error.
 Floats are printed with shortest round-trip repr, so identical command
-lines (including seeds) produce byte-identical output.  The environment
-variable UCX_THREADS caps the thread pool used for grid queries; all
-outputs are ordered by input grid order regardless of schedule.
+lines (including seeds) produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 from typing import IO
 
@@ -31,34 +27,16 @@ class UsageError(Exception):
     pass
 
 
-def _workers() -> int:
-    raw = os.environ.get("UCX_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as e:
-            raise UsageError(f"UCX_THREADS must be an integer, got {raw!r}") from e
-        if n < 1:
-            raise UsageError(f"UCX_THREADS must be positive, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
-def _ordered_map(fn, items):
-    n = _workers()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def _parse_eps_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) == 1:
         return [float(parts[0])]
     if len(parts) != 3:
         raise UsageError(f"eps grid must be 'lo:hi:n' or a single value, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as e:
+        raise UsageError(f"malformed eps grid {text!r}: {e}") from e
     if n < 1:
         raise UsageError(f"eps grid needs at least one point, got n={n}")
     if n == 1:
@@ -78,7 +56,10 @@ def _check_common(p: float, eps_values: list[float]) -> None:
 def _open_output(path: str):
     if path == "-":
         return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+    try:
+        return open(path, "w", encoding="utf-8"), True
+    except OSError as e:
+        raise UsageError(f"cannot write --output {path!r}: {e.strerror}") from e
 
 
 def _emit_rows(rows: list[dict], fields: list[str], fmt: str, out: IO[str]) -> None:
@@ -150,13 +131,6 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _auto_radius(p: float, eps: float | None) -> float:
-    if p < 2.0:
-        return 8.0 * max(1.0, 2.0 * eps ** (-p))
-    # keeps the slice anchors and every (1, 1, x3) query strictly inside the hull
-    return 8.0 * max(1.0, 2.0**p)
-
-
 def cmd_envelope(args) -> int:
     _check_common(args.p, [] if args.eps is None else [args.eps])
     p = args.p
@@ -170,23 +144,17 @@ def cmd_envelope(args) -> int:
         cert = certificates.certificate_ge2(p)
     if args.grid_n < 2:
         raise UsageError(f"grid-n must be at least 2, got {args.grid_n}")
-    radius = args.radius if args.radius is not None else _auto_radius(p, args.eps)
-    grid = envelope.sample_boundary(p, 0.5, args.n_per_face, radius)
+    grid = envelope.sample_boundary(p, 0.5, args.n_per_face)
     budget = bellman.SearchBudget(args.restarts, args.local_steps, args.seed, args.penalty)
-    x3s = [i * (2.0**p) / (args.grid_n - 1) for i in range(args.grid_n)]
-
-    def row(x3: float) -> dict:
-        point = LambdaPoint(1.0, 1.0, x3)
-        env = envelope.concavify(grid, point).result
-        bf = bellman.brute_force_bellman(point, p, 0.5, budget).value
-        return {
-            "x3": x3,
-            "envelope": env,
+    rows = []
+    for i in range(args.grid_n):
+        point = LambdaPoint(1.0, 1.0, i * (2.0**p) / (args.grid_n - 1))
+        rows.append({
+            "x3": point.x3,
+            "envelope": envelope.concavify(grid, point).result,
             "certificate": cert.value(point),
-            "brute_force": bf,
-        }
-
-    rows = _ordered_map(row, x3s)
+            "brute_force": bellman.brute_force_bellman(point, p, 0.5, budget).value,
+        })
     violations = [
         r for r in rows
         if not (r["brute_force"] - args.sandwich_tol <= r["envelope"] <= r["certificate"] + 1e-9)
@@ -262,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--eps", type=float, default=None)
     e.add_argument("--grid-n", type=int, default=50, dest="grid_n")
     e.add_argument("--n-per-face", type=int, default=24, dest="n_per_face")
-    e.add_argument("--radius", type=float, default=None)
+    e.add_argument("--radius", type=float, default=None,
+                   help="no effect: the envelope samples one compact section of the cone")
     e.add_argument("--restarts", type=int, default=24)
     e.add_argument("--local-steps", type=int, default=600, dest="local_steps")
     e.add_argument("--penalty", type=float, default=1e4)

@@ -123,7 +123,12 @@ def contains(x: LambdaPoint, p: float, tol: float = FACE_TOL) -> BoundaryFace:
     return BoundaryFace.INTERIOR
 
 
-def _face_formula(face: BoundaryFace, u: tuple[float, float, float], p: float, theta: float) -> float:
+def face_value(face: BoundaryFace, u, p: float, theta: float):
+    """Collinear-pair payoff on one face, from the p-th roots u = (u1, u2, u3).
+
+    The roots may be floats or equal-shape arrays; the result has the same
+    shape.  No face test is made: the caller supplies the face.
+    """
     u1, u2, u3 = u
     if face is BoundaryFace.FACE3:
         return abs(theta * u1 - (1.0 - theta) * u2) ** p
@@ -153,7 +158,7 @@ def boundary_value(x: LambdaPoint, p: float, theta: float = 0.5, tol: float = FA
     matched = [face for face, d in deficits.items() if d <= tol_abs]
     if not matched:
         raise NotOnBoundaryError(f"{x} is interior to the cone")
-    values = [_face_formula(face, u, p, theta) for face in matched]
+    values = [face_value(face, u, p, theta) for face in matched]
     vmax = max(abs(v) for v in values)
     assert max(values) - min(values) <= 1e-10 * max(1.0, vmax), (
         f"face formulas disagree at edge point {x}: {values}"

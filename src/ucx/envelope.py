@@ -1,13 +1,14 @@
 """Grid concavification: reconstruct the value function from boundary data alone.
 
 The value function is the minimal concave majorant of the boundary payoff
-on the moment cone, so at any query point it equals the best convex
-combination of boundary samples hitting that point.  Restricting the
-combination to a finite sample set turns this into a small LP and yields a
-certified under-approximation that sharpens as the sample radius and
-density grow.  This route is independent of the tangent-plane certificates
-and of the step-pair search, which is what makes the three-way sandwich
-test meaningful.
+on the moment cone.  Boundary data and value function are both degree-1
+homogeneous, so at any query point the value is the best conic (nonnegative)
+combination of boundary samples hitting that point, and samples from one
+compact section of the cone suffice.  Restricting the combination to a
+finite sample set turns this into a small LP and yields a certified
+under-approximation that sharpens as the sampling density grows.  This
+route is independent of the tangent-plane certificates and of the step-pair
+search, which is what makes the three-way sandwich test meaningful.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import LambdaPoint, boundary_profile, boundary_value, check_exponent, check_theta, slice_lower_bound
+from .domain import BoundaryFace, LambdaPoint, check_exponent, check_theta, face_value
 from .errors import DomainError, InfeasibleError
 from .numerics import LpProblem, solve_lp
 
@@ -28,16 +29,14 @@ ACTIVE_TOL = 1e-11
 class ObstacleGrid:
     """Sampled boundary points with their payoff values.
 
-    Points are cone boundary members by construction (slice-curve samples
-    scaled along rays, the diagonal edge ray, the apex, and the slice
-    anchors); values are computed per point by ``boundary_value``.
+    Points lie on the compact boundary section where the largest p-th root
+    is 1; every boundary point is a nonnegative multiple of one of them.
     """
 
     points: np.ndarray
     values: np.ndarray
     p: float
     theta: float
-    radius: float
 
     def __len__(self) -> int:
         return len(self.values)
@@ -52,114 +51,47 @@ class EnvelopeQuery:
     active_weights: tuple[tuple[int, float], ...]
 
 
-def _outer_slice_params(radius: float, n: int) -> np.ndarray:
-    """Slice parameters on [1, radius]: uniform up to 10, geometric beyond."""
-    if radius <= 10.0:
-        return np.linspace(1.0, radius, n)
-    n_uniform = n // 2
-    lead = np.linspace(1.0, 10.0, n_uniform, endpoint=False)
-    tail = np.geomspace(10.0, radius, n - n_uniform)
-    return np.concatenate([lead, tail])
+def sample_boundary(p: float, theta: float, n_per_face: int) -> ObstacleGrid:
+    """Sample each cone face once along its p-th-root parametrization.
 
-
-def sample_boundary(p: float, theta: float, n_per_face: int, radius: float) -> ObstacleGrid:
-    """Sample the three cone faces inside the truncation ||x||_inf <= radius.
-
-    Each face is a homogeneous surface swept by the slice curve, so the
-    samples are slice-curve points at ``n_per_face`` parameters times
-    ``n_per_face`` uniform ray scales.  The diagonal edge ray (a, a, 0),
-    the apex, the slice anchor (2^-p, 2^-p, 1), and a scaled copy of
-    (1, 1, 2^p) are appended explicitly: the sharpness constructions and
-    slice queries must be representable inside the sampled hull.
+    With ``t`` on ``n_per_face`` equispaced points of [0, 1], the roots
+    (t, 1-t, 1), (1, t, 1-t) and (t, 1, 1-t) sweep faces 3, 1 and 2, and
+    the points are their p-th powers.  The face-3 midpoint (2^-p, 2^-p, 1)
+    is appended because an even ``n_per_face`` misses t = 1/2: it is the
+    ray of the antipodal point (1, 1, 2^p), without which slice queries
+    near x3 = 2^p leave the sampled cone.
     """
     p = check_exponent(p)
     theta = check_theta(theta)
     if n_per_face < 2:
         raise DomainError(f"n_per_face must be at least 2, got {n_per_face}")
-    if not (radius > 0.0):
-        raise DomainError(f"radius must be positive, got {radius!r}")
-    smin = slice_lower_bound(p)
-
-    base_points: list[tuple[float, float, float]] = []
-    # the inner face splits into two mirror branches; share its budget
-    inner = np.linspace(smin, 1.0, max(2, n_per_face // 2))
-    for s in inner:
-        g = boundary_profile(float(s), p).g
-        base_points.append((float(s), g, 1.0))
-        base_points.append((g, float(s), 1.0))
-    for s in _outer_slice_params(radius, n_per_face):
-        if s > radius:
-            continue
-        g = boundary_profile(float(s), p).g
-        base_points.append((float(s), g, 1.0))
-        base_points.append((g, float(s), 1.0))
-
-    pts: list[tuple[float, float, float]] = []
-    for bx, by, bz in base_points:
-        lam_max = radius / max(bx, by, bz)
-        for i in range(1, n_per_face + 1):
-            lam = lam_max * i / n_per_face
-            pts.append((lam * bx, lam * by, lam * bz))
-
-    # diagonal edge ray (f = g), apex, and the slice anchors
-    for i in range(1, n_per_face + 1):
-        a = radius * i / n_per_face
-        pts.append((a, a, 0.0))
-    pts.append((0.0, 0.0, 0.0))
-    pts.append((smin, smin, 1.0))
-    lam = min(1.0, radius / 2.0**p)
-    pts.append((lam * 1.0, lam * 1.0, lam * 2.0**p))
-
-    points = np.array(pts, dtype=float)
-    values = np.array(
-        [boundary_value(LambdaPoint(*pt), p, theta) for pt in pts], dtype=float
+    t = np.linspace(0.0, 1.0, n_per_face)
+    t3 = np.append(t, 0.5)
+    faces = (
+        (BoundaryFace.FACE3, (t3, 1.0 - t3, np.ones_like(t3))),
+        (BoundaryFace.FACE1, (np.ones_like(t), t, 1.0 - t)),
+        (BoundaryFace.FACE2, (t, np.ones_like(t), 1.0 - t)),
     )
-    return ObstacleGrid(points, values, p, theta, radius)
+    points = np.concatenate([np.column_stack(u) ** p for _, u in faces])
+    values = np.concatenate([face_value(face, u, p, theta) for face, u in faces])
+    return ObstacleGrid(points, values, p, theta)
 
 
 def concavify(grid: ObstacleGrid, x: LambdaPoint) -> EnvelopeQuery:
-    """Best convex combination of boundary samples hitting ``x``.
+    """Best conic combination of boundary samples hitting ``x``.
 
-    Maximizes sum(w_i * value_i) subject to sum(w_i * point_i) = x and
-    sum(w_i) = 1, w >= 0.  The optimum is a vertex, so at most four samples
-    carry weight (Caratheodory in the three moment coordinates plus mass).
-    Under-approximates the true concave majorant by grid resolution.
+    Maximizes sum(w_i * value_i) subject to sum(w_i * point_i) = x, w >= 0.
+    The optimum is a vertex, so at most three samples carry weight
+    (Caratheodory in the three moment coordinates).  Under-approximates the
+    true concave majorant by grid resolution.
     """
-    n = len(grid)
-    eq = np.vstack([grid.points.T, np.ones((1, n))])
-    rhs = np.concatenate([x.as_array(), [1.0]])
     try:
-        weights, value = solve_lp(LpProblem(grid.values, eq, rhs))
+        weights, value = solve_lp(LpProblem(grid.values, grid.points.T, x.as_array()))
     except InfeasibleError as e:
         raise InfeasibleError(
-            f"query {x} is outside the sampled hull (radius {grid.radius:g}); "
-            "enlarge the radius or densify the grid"
+            f"query {x} is outside the sampled cone; densify the grid"
         ) from e
     active = tuple(
         (int(i), float(weights[i])) for i in np.nonzero(weights > ACTIVE_TOL)[0]
     )
     return EnvelopeQuery(x, value, active)
-
-
-def envelope_slice(
-    p: float,
-    theta: float,
-    x3_grid,
-    grid: ObstacleGrid,
-) -> list[tuple[float, float]]:
-    """Concavification values along the query segment (1, 1, x3).
-
-    ``x3`` values must lie in [0, 2^p].  For theta = 1/2 the resulting table
-    is nonincreasing in x3 up to LP tolerance; the tests rely on that to
-    confirm the supremum over the slice is attained at the left end.
-    """
-    p = check_exponent(p)
-    theta = check_theta(theta)
-    out: list[tuple[float, float]] = []
-    for x3 in x3_grid:
-        x3 = float(x3)
-        if not (0.0 <= x3 <= 2.0**p):
-            raise DomainError(f"x3 must lie in [0, 2^p], got {x3!r}")
-        q = concavify(grid, LambdaPoint(1.0, 1.0, x3))
-        out.append((x3, q.result))
-    return out

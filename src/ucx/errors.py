@@ -26,7 +26,7 @@ class InfeasibleError(UcxError):
 
 
 class UnboundedError(UcxError):
-    """The LP objective is unbounded; cannot happen under a simplex row."""
+    """The LP objective has no finite maximum over the feasible set."""
 
 
 class NegativeCoordinateError(UcxError):

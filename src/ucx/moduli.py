@@ -39,12 +39,18 @@ class SStar:
 
 
 def delta_closed_form(p: float, eps: float) -> float:
-    """delta(eps) = 1 - (1 - (eps/2)**p)**(1/p), valid for p >= 2."""
+    """delta(eps) = 1 - (1 - (eps/2)**p)**(1/p), valid for p >= 2.
+
+    Evaluated as -expm1(log1p(-(eps/2)**p) / p), which keeps full relative
+    accuracy when (eps/2)**p is below the float64 epsilon; eps = 2 is exact.
+    """
     p = check_exponent(p)
     eps = _check_eps(eps)
     if p < 2.0:
         raise WrongRegimeError(f"closed form requires p >= 2, got p={p}")
-    return 1.0 - (1.0 - (eps / 2.0) ** p) ** (1.0 / p)
+    if eps == 2.0:
+        return 1.0
+    return -math.expm1(math.log1p(-((eps / 2.0) ** p)) / p)
 
 
 def solve_s_star(p: float, eps: float, tol: float = 1e-13) -> SStar:

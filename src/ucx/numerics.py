@@ -2,8 +2,7 @@
 
 Bracketing bisection, a dense simplex LP solver with Bland's rule,
 central finite differences, and equispaced grid scans.  Everything here
-is a pure function of its inputs and deterministic, so callers may fan
-scans out over threads without coordination.
+is a pure function of its inputs and deterministic.
 """
 
 from __future__ import annotations
@@ -133,8 +132,8 @@ def scan_extremum(
 class LpProblem:
     """Equality-constrained LP: maximize objective @ w, eq_matrix @ w = eq_rhs, w >= 0.
 
-    One row of ``eq_matrix`` is expected to be the all-ones simplex row with
-    right-hand side 1, which keeps the feasible set bounded.
+    The feasible set may be unbounded (a cone, for instance); the objective
+    must then be bounded above on it, or the solver raises UnboundedError.
     """
 
     objective: np.ndarray
@@ -178,7 +177,7 @@ def _bland_iterate(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray, tol: fl
         col = tab[:, entering]
         rows = np.nonzero(col > tol)[0]
         if rows.size == 0:
-            raise UnboundedError("unbounded LP; simplex constraint row missing?")
+            raise UnboundedError(f"unbounded LP: column {entering} improves the objective without limit")
         ratios = tab[rows, m] / col[rows]
         best = ratios.min()
         tied = rows[ratios <= best + tol * (1.0 + abs(best))]

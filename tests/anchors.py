@@ -27,6 +27,15 @@ KAPPA_P15_E1 = 0.52068742669115558012
 DELTA_E1_P2 = 1.0 - math.sqrt(3.0) / 2.0
 DELTA_E1_P4 = 0.01600516436728479073  # 1 - (15/16)^(1/4)
 
+# closed form where (eps/2)^p falls below the float64 epsilon: (p, eps, delta),
+# evaluated as -expm1(log1p(-(eps/2)^p)/p) at the exact binary value of eps
+DELTA_TINY_CORNERS = (
+    (3.0, 1e-6, 4.1666666666666661012e-20),
+    (10.0, 0.01, 9.7656250000000020329e-25),
+    (100.0, 1.0, 7.8886090522101180541e-33),
+    (2.0, 1e-6, 1.2500000000000780119e-13),
+)
+
 # slice profile derivatives at s = 4 (hand-differentiated and checked by
 # central differences of the defining powers)
 FPRIME_4_P2 = 0.75

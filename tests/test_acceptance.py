@@ -128,7 +128,7 @@ def test_criterion_5_sandwich_reconstruction():
     with Stopwatch(60.0) as sw:
         # envelope vs certificate along the slice, p = 4
         cert4 = certificate_ge2(4.0)
-        grid4 = sample_boundary(4.0, 0.5, 60, 8.0 * 2.0**4)
+        grid4 = sample_boundary(4.0, 0.5, 60)
         for x3 in np.linspace(0.0, 2.0**4, 25):
             x = LambdaPoint(1.0, 1.0, float(x3))
             env = concavify(grid4, x).result
@@ -137,7 +137,7 @@ def test_criterion_5_sandwich_reconstruction():
 
         # envelope at the query point, p = 1.5
         cert15 = certificate_lt2(1.5, 1.0)
-        grid15 = sample_boundary(1.5, 0.5, 60, 16.0)
+        grid15 = sample_boundary(1.5, 0.5, 60)
         x = LambdaPoint(1.0, 1.0, 1.0)
         env = concavify(grid15, x).result
         cv = cert15.value(x)

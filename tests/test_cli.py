@@ -9,10 +9,7 @@ from anchors import DELTA_E1_P4, DELTA_P15_E1
 from ucx.cli import main
 
 
-def run_cli(argv, env=None, monkeypatch=None):
-    if env:
-        for k, v in env.items():
-            monkeypatch.setenv(k, v)
+def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -68,6 +65,17 @@ class TestTable:
         assert code == 2 and err.strip()
         code, _, err = run_cli(["table", "--p", "2", "--eps", "0:2:0"])
         assert code == 2 and err.strip()
+
+    def test_non_integer_grid_count_exit_2(self):
+        code, out, err = run_cli(["table", "--p", "1.5", "--eps", "0.1:1.9:abc"])
+        assert code == 2 and out == ""
+        assert err.startswith("ucx: ") and err.count("\n") == 1
+
+    def test_unwritable_output_exit_2(self, tmp_path):
+        target = tmp_path / "missing-dir" / "rows.csv"
+        code, out, err = run_cli(["table", "--p", "3", "--eps", "1", "--output", str(target)])
+        assert code == 2 and out == ""
+        assert err.startswith("ucx: ") and err.count("\n") == 1
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "rows.csv"
@@ -180,18 +188,3 @@ class TestDeterminism:
         _, first, _ = run_cli(args)
         _, second, _ = run_cli(args)
         assert first.encode() == second.encode()
-
-    def test_thread_cap_does_not_change_output(self, monkeypatch):
-        args = ["envelope", "--p", "2", "--grid-n", "7", "--n-per-face", "10",
-                "--restarts", "4", "--local-steps", "100", "--seed", "1"]
-        monkeypatch.setenv("UCX_THREADS", "1")
-        _, serial, _ = run_cli(args)
-        monkeypatch.setenv("UCX_THREADS", "4")
-        _, threaded, _ = run_cli(args)
-        assert serial == threaded
-
-    def test_invalid_thread_cap_exit_2(self, monkeypatch):
-        monkeypatch.setenv("UCX_THREADS", "zebra")
-        code, _, err = run_cli(["envelope", "--p", "2", "--grid-n", "3", "--n-per-face", "8",
-                                "--restarts", "2", "--local-steps", "50"])
-        assert code == 2 and "UCX_THREADS" in err

@@ -3,57 +3,59 @@ import pytest
 
 from anchors import PAYOFF_P15_E1
 from ucx.bellman import SearchBudget, brute_force_bellman
-from ucx.certificates import certificate_ge2
+from ucx.certificates import certificate_ge2, certificate_lt2
 from ucx.domain import LambdaPoint, boundary_value, contains
-from ucx.envelope import ObstacleGrid, concavify, envelope_slice, sample_boundary
+from ucx.envelope import ObstacleGrid, concavify, sample_boundary
 from ucx.errors import DomainError, InfeasibleError
 
 
 @pytest.fixture(scope="module")
 def grid_p4():
-    return sample_boundary(4.0, 0.5, 24, 8.0 * 2.0**4)
+    return sample_boundary(4.0, 0.5, 24)
 
 
 @pytest.fixture(scope="module")
 def grid_p2():
-    return sample_boundary(2.0, 0.5, 24, 8.0 * 2.0**2)
+    return sample_boundary(2.0, 0.5, 24)
 
 
 @pytest.fixture(scope="module")
 def grid_p15():
-    return sample_boundary(1.5, 0.5, 40, 16.0)
+    return sample_boundary(1.5, 0.5, 40)
+
+
+def slice_values(grid, x3s):
+    return [concavify(grid, LambdaPoint(1.0, 1.0, float(x3))).result for x3 in x3s]
 
 
 class TestSampleBoundary:
     def test_minimal_grid(self):
-        grid = sample_boundary(2.0, 0.5, 2, 8.0)
-        assert len(grid) >= 12
+        # two samples on each of the three faces, plus the face-3 midpoint
+        assert len(sample_boundary(2.0, 0.5, 2)) == 7
 
     def test_all_points_on_boundary(self, grid_p4):
-        for pt in grid_p4.points[:: max(1, len(grid_p4) // 400)]:
+        for pt in grid_p4.points:
             assert contains(LambdaPoint(*pt), 4.0).on_boundary
 
+    def test_points_on_compact_section(self, grid_p4):
+        np.testing.assert_allclose((grid_p4.points ** 0.25).max(axis=1), 1.0, rtol=1e-15)
+
     def test_values_match_boundary_data(self, grid_p4):
-        idx = np.linspace(0, len(grid_p4) - 1, 73, dtype=int)
-        for i in idx:
-            expected = boundary_value(LambdaPoint(*grid_p4.points[i]), 4.0, 0.5)
-            assert grid_p4.values[i] == pytest.approx(expected, abs=1e-12)
+        for pt, value in zip(grid_p4.points, grid_p4.values):
+            expected = boundary_value(LambdaPoint(*pt), 4.0, 0.5)
+            assert value == pytest.approx(expected, abs=1e-12)
 
     def test_antipodal_anchor_present_with_zero_value(self, grid_p4):
-        target = np.array([1.0, 1.0, 2.0**4])
+        # the ray of (1, 1, 2^p) meets the section at (2^-p, 2^-p, 1)
+        target = np.array([1.0, 1.0, 2.0**4]) / 2.0**4
         dists = np.abs(grid_p4.points - target).max(axis=1)
         i = int(np.argmin(dists))
-        assert dists[i] < 1e-9
+        assert dists[i] < 1e-15
         assert grid_p4.values[i] == pytest.approx(0.0, abs=1e-12)
-
-    def test_truncation_respected(self, grid_p4):
-        assert np.abs(grid_p4.points).max() <= grid_p4.radius + 1e-9
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
-            sample_boundary(2.0, 0.5, 1, 8.0)
-        with pytest.raises(DomainError):
-            sample_boundary(2.0, 0.5, 8, 0.0)
+            sample_boundary(2.0, 0.5, 1)
 
 
 class TestConcavify:
@@ -72,15 +74,22 @@ class TestConcavify:
 
     def test_active_support_caratheodory(self, grid_p4):
         q = concavify(grid_p4, LambdaPoint(1.0, 1.0, 1.0))
-        assert 1 <= len(q.active_weights) <= 4
-        total = sum(w for _, w in q.active_weights)
-        assert total == pytest.approx(1.0, abs=1e-9)
+        assert 1 <= len(q.active_weights) <= 3
         recon = sum(w * grid_p4.points[i] for i, w in q.active_weights)
         np.testing.assert_allclose(recon, [1.0, 1.0, 1.0], atol=1e-8)
 
     def test_lt2_chord_midpoint(self, grid_p15):
         q = concavify(grid_p15, LambdaPoint(1.0, 1.0, 1.0))
         assert PAYOFF_P15_E1 - 5e-3 <= q.result <= PAYOFF_P15_E1 + 1e-9
+
+    def test_lt2_slice_midpoint_at_default_sampling(self):
+        # eps^p = 2^p / 2: row 2 of a 5-point slice at the CLI's 24 samples per face
+        p = 1.5
+        eps = 2.0 * 0.5 ** (1.0 / p)
+        x = LambdaPoint(1.0, 1.0, eps**p)
+        cert = certificate_lt2(p, eps).value(x)
+        env = concavify(sample_boundary(p, 0.5, 24), x).result
+        assert cert - 5e-3 <= env <= cert + 1e-9
 
     def test_outside_hull_infeasible(self, grid_p2):
         with pytest.raises(InfeasibleError):
@@ -99,22 +108,25 @@ class TestConcavify:
             mid = LambdaPoint(1.0, 1.0, lam * 0.5 + (1 - lam) * 3.0)
             assert concavify(grid_p4, mid).result >= lam * qu + (1 - lam) * qv - 1e-9
 
-    def test_homogeneity(self, grid_p4):
-        x = LambdaPoint(1.0, 1.0, 1.0)
-        base = concavify(grid_p4, x).result
-        for lam in [0.5, 2.0]:
-            assert concavify(grid_p4, x.scaled(lam)).result == pytest.approx(
-                lam * base, rel=1e-8
-            )
+    def test_homogeneity(self, grid_p4, grid_p15):
+        cases = [
+            (grid_p4, LambdaPoint(1.0, 1.0, 1.0)),
+            (grid_p15, LambdaPoint(1.0, 1.0, 1.0)),
+            (grid_p15, LambdaPoint(0.5, 1.0, 0.8)),
+            (grid_p15, LambdaPoint(2.0, 0.5, 1.5)),
+        ]
+        for grid, x in cases:
+            base = concavify(grid, x).result
+            for lam in [0.5, 2.0]:
+                assert concavify(grid, x.scaled(lam)).result == pytest.approx(lam * base, rel=1e-12)
 
     def test_refinement_never_decreases(self, grid_p2):
-        coarse = sample_boundary(2.0, 0.5, 8, 8.0 * 2.0**2)
+        coarse = sample_boundary(2.0, 0.5, 8)
         refined = ObstacleGrid(
             np.vstack([coarse.points, grid_p2.points]),
             np.concatenate([coarse.values, grid_p2.values]),
             coarse.p,
             coarse.theta,
-            coarse.radius,
         )
         for x3 in [0.5, 1.5, 3.0]:
             x = LambdaPoint(1.0, 1.0, x3)
@@ -122,23 +134,24 @@ class TestConcavify:
 
 
 class TestEnvelopeSlice:
+    """Queries along the segment (1, 1, x3), x3 in [0, 2^p]."""
+
     def test_p2_linear_everywhere(self, grid_p2):
-        rows = envelope_slice(2.0, 0.5, np.linspace(0.0, 4.0, 17), grid_p2)
-        for x3, val in rows:
+        x3s = np.linspace(0.0, 4.0, 17)
+        for x3, val in zip(x3s, slice_values(grid_p2, x3s)):
             assert val == pytest.approx(1.0 - x3 / 4.0, abs=1e-9)
 
     def test_nonincreasing(self, grid_p4):
-        rows = envelope_slice(4.0, 0.5, np.linspace(0.0, 16.0, 15), grid_p4)
-        vals = [v for _, v in rows]
+        vals = slice_values(grid_p4, np.linspace(0.0, 16.0, 15))
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_boundary_pin_at_right_end(self, grid_p4):
-        rows = envelope_slice(4.0, 0.5, [2.0**4], grid_p4)
-        assert rows[0][1] == pytest.approx(0.0, abs=1e-9)
+        assert slice_values(grid_p4, [2.0**4])[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_range_validation(self, grid_p2):
-        with pytest.raises(DomainError):
-            envelope_slice(2.0, 0.5, [5.0], grid_p2)
+        # past x3 = 2^p the segment leaves the cone, so no conic combination hits it
+        with pytest.raises(InfeasibleError):
+            slice_values(grid_p2, [5.0])
 
 
 class TestSandwich:

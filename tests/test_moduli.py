@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchors import DELTA_E1_P2, DELTA_E1_P4, DELTA_P15_E1, S_STAR_P15_E1
+from anchors import DELTA_E1_P2, DELTA_E1_P4, DELTA_P15_E1, DELTA_TINY_CORNERS, S_STAR_P15_E1
 from ucx.errors import DomainError, WrongRegimeError
 from ucx.moduli import (
     delta,
@@ -28,6 +28,10 @@ class TestClosedForm:
         d = delta_closed_form(4.0, 1.0)
         assert d == pytest.approx(DELTA_E1_P4, abs=1e-14)
         assert (1.0 - d) ** 4 == pytest.approx(15.0 / 16.0, abs=1e-14)
+
+    @pytest.mark.parametrize("p, eps, expected", DELTA_TINY_CORNERS)
+    def test_relative_accuracy_when_delta_is_tiny(self, p, eps, expected):
+        assert abs(delta_closed_form(p, eps) - expected) <= 1e-15 * expected
 
     def test_wrong_regime(self):
         with pytest.raises(WrongRegimeError):

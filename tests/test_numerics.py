@@ -69,12 +69,22 @@ class TestCentralDiff:
     )
     @settings(max_examples=100, deadline=None)
     def test_cubic_matches_analytic(self, a, b, c, s):
+        # For a cubic the central quotient is exactly f'(s) + a h^2, so only
+        # float64 rounding separates the two.  Each evaluation of fn is off by
+        # at most 7 units of roundoff u of its term sizes (4 for the arithmetic,
+        # 3 for rounding t = s +- h), and the quotient divides that by 2h.  The
+        # second term covers rounding the quotient and the expected value, the
+        # third underflow (at most one smallest subnormal per operation).
+        h, u = 1e-5, 2.0**-53
         fn = lambda t: a * t**3 + b * t**2 + c * t
-        exact = 3.0 * a * s**2 + 2.0 * b * s + c
-        if abs(exact) < 1e-3:
-            return  # relative error is meaningless near a critical point
-        got = central_diff(fn, s, 1e-5)
-        assert abs(got - exact) / abs(exact) < 1e-8
+        size = lambda t: abs(a * t**3) + abs(b * t**2) + abs(c * t)
+        expected = 3.0 * a * s**2 + 2.0 * b * s + c + a * h**2
+        bound = (
+            8.0 * u * (size(s + h) + size(s - h)) / (2.0 * h)
+            + 8.0 * u * (3.0 * abs(a) * s**2 + 2.0 * abs(b * s) + abs(c))
+            + 16.0 * math.ulp(0.0) / h
+        )
+        assert abs(central_diff(fn, s, h) - expected) <= bound
 
 
 class TestScan:
