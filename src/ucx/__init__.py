@@ -41,7 +41,7 @@ from .domain import (
 )
 from .envelope import EnvelopeQuery, ObstacleGrid, concavify, sample_boundary
 from .moduli import SStar, delta, delta_closed_form, delta_implicit, delta_via_s_star, solve_s_star
-from .numerics import Bracket, LpProblem, bisect_root, central_diff, scan_extremum, solve_lp
+from .numerics import Bracket, LpProblem, bisect_root, solve_lp
 
 __all__ = [
     "Bracket",
@@ -62,7 +62,6 @@ __all__ = [
     "boundary_profile",
     "boundary_value",
     "brute_force_bellman",
-    "central_diff",
     "certificate_ge2",
     "certificate_lt2",
     "concavify",
@@ -78,7 +77,6 @@ __all__ = [
     "monotonicity_witness",
     "payoff",
     "sample_boundary",
-    "scan_extremum",
     "sharpness_check",
     "slice_lower_bound",
     "slice_point",

@@ -100,19 +100,22 @@ def majorization_gap(s: float, cert: Certificate) -> float:
     return cert.value(LambdaPoint(prof.s, prof.g, 1.0)) - prof.f
 
 
-def monotonicity_witness(s: float, p: float) -> float:
+def monotonicity_witness(s, p: float):
     """One-variable witness for the p >= 2 majorization: 1 - (s-1)^(p-1) - 2(1-s/2)^(p-1).
 
     Concave on [1, 2] and nonnegative at the endpoints, which forces the
     slice gap to grow monotonically away from its zero.  Identically 0 at
-    p = 2, the equality case.
+    p = 2, the equality case.  ``s`` may be a float or an array; the result
+    has its shape.
     """
     p = check_exponent(p)
     if p < 2.0:
         raise WrongRegimeError(f"witness applies for p >= 2, got p={p}")
-    if not (1.0 <= s <= 2.0):
+    s = np.asarray(s, dtype=float)
+    if not np.all((1.0 <= s) & (s <= 2.0)):
         raise OutOfRangeError(f"witness domain is [1, 2], got s={s!r}")
-    return 1.0 - (s - 1.0) ** (p - 1.0) - 2.0 * (1.0 - s / 2.0) ** (p - 1.0)
+    w = 1.0 - (s - 1.0) ** (p - 1.0) - 2.0 * (1.0 - s / 2.0) ** (p - 1.0)
+    return float(w) if w.ndim == 0 else w
 
 
 def _slice_scan_grid(p: float, grid_n: int, s_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +200,7 @@ def verify_appendix(
 
     if ge2:
         sw = np.linspace(1.0, 2.0, grid_n)
-        wit = 1.0 - (sw - 1.0) ** (p - 1.0) - 2.0 * (1.0 - sw / 2.0) ** (p - 1.0)
+        wit = monotonicity_witness(sw, p)
         reports.append(_report_min("w-nonneg", sw, wit, 1e-12))
         d2 = wit[2:] - 2.0 * wit[1:-1] + wit[:-2]
         tol_cc = 1e-9 * max(1.0, float(np.abs(wit).max()))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import IO
 
@@ -29,11 +30,11 @@ class UsageError(Exception):
 
 def _parse_eps_grid(text: str) -> list[float]:
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise UsageError(f"eps grid must be 'lo:hi:n' or a single value, got {text!r}")
     try:
+        if len(parts) == 1:
+            return [float(parts[0])]
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as e:
         raise UsageError(f"malformed eps grid {text!r}: {e}") from e
@@ -45,12 +46,29 @@ def _parse_eps_grid(text: str) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
+def _check_args(args) -> None:
+    """Checks every subcommand shares: finite float options, a nonnegative seed."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value!r}")
+    if getattr(args, "seed", 0) < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+
+
 def _check_common(p: float, eps_values: list[float]) -> None:
     if not p > 1.0:
         raise UsageError(f"p must exceed 1, got {p}")
     for e in eps_values:
         if not (0.0 <= e <= 2.0):
             raise UsageError(f"eps must lie in [0, 2], got {e}")
+
+
+def _check_scale(p: float, eps: float | None) -> None:
+    """The slice rows and scans need 2**p and eps**(-p) as finite floats."""
+    try:
+        2.0**p, (1.0 if eps is None else eps ** (-p))
+    except OverflowError:
+        raise UsageError(f"p={p!r} is too large: 2**p or eps**(-p) overflows") from None
 
 
 def _open_output(path: str):
@@ -104,6 +122,7 @@ def cmd_verify(args) -> int:
     _check_common(args.p, [] if eps is None else [eps])
     if eps is not None and eps == 0.0:
         raise UsageError("eps must be positive for verification scans")
+    _check_scale(args.p, eps)
     reports = certificates.verify_appendix(args.p, eps, args.grid_n, args.s_max)
     if args.p < 2.0:
         reports.append(certificates.sharpness_check(args.p, eps, n_chord=args.n_chord))
@@ -139,8 +158,10 @@ def cmd_envelope(args) -> int:
             raise UsageError("epsilon required for p<2")
         if args.eps == 0.0:
             raise UsageError("eps must be positive for the p<2 certificate")
+        _check_scale(p, args.eps)
         cert = certificates.certificate_lt2(p, args.eps)
     else:
+        _check_scale(p, None)
         cert = certificates.certificate_ge2(p)
     if args.grid_n < 2:
         raise UsageError(f"grid-n must be at least 2, got {args.grid_n}")
@@ -180,6 +201,8 @@ def cmd_bruteforce(args) -> int:
         coords = [float(v) for v in parts]
     except ValueError as e:
         raise UsageError(f"malformed point {args.x!r}") from e
+    if not all(math.isfinite(v) for v in coords):
+        raise UsageError(f"moment coordinates must be finite, got {args.x!r}")
     if min(coords) < 0.0:
         raise UsageError(f"moment coordinates must be nonnegative, got {args.x!r}")
     if not args.p > 1.0:
@@ -261,6 +284,7 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse already printed the diagnostic
         return int(e.code or 0)
     try:
+        _check_args(args)
         return args.fn(args)
     except UsageError as e:
         print(f"ucx: {e}", file=sys.stderr)

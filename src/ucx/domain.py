@@ -71,9 +71,6 @@ class LambdaPoint:
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3], dtype=float)
 
-    def scaled(self, lam: float) -> "LambdaPoint":
-        return LambdaPoint(lam * self.x1, lam * self.x2, lam * self.x3)
-
 
 @dataclass(frozen=True)
 class BoundaryProfile:
@@ -138,32 +135,17 @@ def face_value(face: BoundaryFace, u, p: float, theta: float):
 
 
 def boundary_value(x: LambdaPoint, p: float, theta: float = 0.5, tol: float = FACE_TOL) -> float:
-    """Collinear-pair payoff at a boundary point.
+    """Collinear-pair payoff at a boundary point, by the face ``contains`` reports.
 
-    Evaluates the case formula of every face whose equality holds within
-    tolerance; on edges the formulas must agree to 1e-10 (they do: the data
-    is continuous across edges) and either value is returned.
+    On an edge several face formulas apply; they agree there (the data is
+    continuous across edges), and the first face in the order of
+    ``contains`` is used.
     """
-    p = check_exponent(p)
     theta = check_theta(theta)
-    u = _roots(x, p)
-    tol_abs = tol * max(u)
-    deficits = {
-        BoundaryFace.FACE3: u[0] + u[1] - u[2],
-        BoundaryFace.FACE1: u[1] + u[2] - u[0],
-        BoundaryFace.FACE2: u[2] + u[0] - u[1],
-    }
-    if min(deficits.values()) < -tol_abs:
-        raise NotOnBoundaryError(f"{x} lies outside the cone")
-    matched = [face for face, d in deficits.items() if d <= tol_abs]
-    if not matched:
-        raise NotOnBoundaryError(f"{x} is interior to the cone")
-    values = [face_value(face, u, p, theta) for face in matched]
-    vmax = max(abs(v) for v in values)
-    assert max(values) - min(values) <= 1e-10 * max(1.0, vmax), (
-        f"face formulas disagree at edge point {x}: {values}"
-    )
-    return values[0]
+    face = contains(x, p, tol)
+    if not face.on_boundary:
+        raise NotOnBoundaryError(f"{x} is {face.value}, not on the cone boundary")
+    return face_value(face, _roots(x, p), p, theta)
 
 
 def profile_arrays(s, p: float):

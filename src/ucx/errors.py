@@ -17,10 +17,6 @@ class NonFiniteError(UcxError):
     """A function evaluation produced NaN or infinity."""
 
 
-class BracketFailureError(UcxError):
-    """Geometric bracket growth hit its cap without finding a sign change."""
-
-
 class InfeasibleError(UcxError):
     """The LP has no feasible point (query outside the sampled hull)."""
 

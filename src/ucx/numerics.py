@@ -1,15 +1,14 @@
 """Self-contained numerical kernels.
 
-Bracketing bisection, a dense simplex LP solver with Bland's rule,
-central finite differences, and equispaced grid scans.  Everything here
-is a pure function of its inputs and deterministic.
+Bracketing bisection and a dense simplex LP solver with Bland's rule.
+Everything here is a pure function of its inputs and deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -82,50 +81,6 @@ def bisect_root(fn: Func, bracket: Bracket) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def central_diff(fn: Func, s: float, h: float) -> float:
-    """Symmetric difference quotient (fn(s+h) - fn(s-h)) / 2h."""
-    if not (h > 0.0):
-        raise ValueError(f"step must be positive, got {h}")
-    return (_eval_checked(fn, s + h) - _eval_checked(fn, s - h)) / (2.0 * h)
-
-
-def scan_extremum(
-    fn: Callable,
-    lo: float,
-    hi: float,
-    n: int,
-    mode: Literal["min", "max"] = "min",
-) -> tuple[float, float]:
-    """Evaluate ``fn`` on n equispaced points of [lo, hi] and return the extremum.
-
-    Returns ``(argument, value)``.  ``fn`` may either broadcast over a numpy
-    array of sample points or accept scalars; scalar functions are looped.
-    Ties resolve to the first (lowest-argument) grid point.
-    """
-    if not (lo < hi):
-        raise ValueError(f"scan requires lo < hi, got [{lo}, {hi}]")
-    if n < 2:
-        raise ValueError(f"scan requires n >= 2, got {n}")
-    if mode not in ("min", "max"):
-        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    ts = np.linspace(lo, hi, n)
-    vals = None
-    try:
-        cand = np.asarray(fn(ts), dtype=float)
-        if cand.shape == ts.shape:
-            vals = cand
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None:
-        vals = np.array([float(fn(t)) for t in ts])
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonFiniteError(f"non-finite sample {vals[i]!r} at t={ts[i]!r}")
-    i = int(np.argmin(vals) if mode == "min" else np.argmax(vals))
-    return float(ts[i]), float(vals[i])
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,15 @@ DELTA_TINY_CORNERS = (
     (2.0, 1e-6, 1.2500000000000780119e-13),
 )
 
+# 1 < p < 2 where eps is small: (p, eps, delta), the root of the implicit
+# equation at the exact binary value of eps, cross-checked by bisecting
+# ((u + eps/2)^p + |u - eps/2|^p)/2 = 1 for u = 1 - delta
+DELTA_SMALL_EPS_LT2 = (
+    (1.5, 1e-6, 6.2500000000003900594e-14),
+    (1.5, 1e-8, 6.2500000000000003006e-18),
+    (1.99, 1e-6, 1.2375000000000774733e-13),
+)
+
 # slice profile derivatives at s = 4 (hand-differentiated and checked by
 # central differences of the defining powers)
 FPRIME_4_P2 = 0.75

@@ -197,7 +197,7 @@ class TestBruteForce:
         x = LambdaPoint(1.0, 1.0, 1.0)
         base = brute_force_bellman(x, 1.5, 0.5, budget)
         for lam in [0.5, 2.0]:
-            scaled = brute_force_bellman(x.scaled(lam), 1.5, 0.5, budget)
+            scaled = brute_force_bellman(LambdaPoint(lam, lam, lam), 1.5, 0.5, budget)
             assert scaled.value >= lam * base.value - 5e-2 * lam
 
     def test_format_witness_layout(self):

@@ -97,9 +97,25 @@ class TestMonotonicityWitness:
         for s in np.linspace(1.0, 2.0, 33):
             assert monotonicity_witness(float(s), 2.0) == pytest.approx(0.0, abs=1e-15)
 
+    def test_witness_nonnegative_p3(self):
+        # grid scan anchored by the endpoint values 1 - 2^(2-p) and 0
+        s = np.linspace(1.0, 2.0, 10001)
+        w = monotonicity_witness(s, 3.0)
+        assert w.shape == s.shape and w.min() >= -1e-12
+        assert w[0] == pytest.approx(1.0 - 2.0 ** (2.0 - 3.0), abs=1e-12)
+        assert w[-1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_array_matches_scalar(self):
+        s = np.linspace(1.0, 2.0, 17)
+        w = monotonicity_witness(s, 4.5)
+        for si, wi in zip(s, w):
+            assert wi == pytest.approx(monotonicity_witness(float(si), 4.5), abs=1e-15)
+
     def test_domain_errors(self):
         with pytest.raises(OutOfRangeError):
             monotonicity_witness(0.5, 3.0)
+        with pytest.raises(OutOfRangeError):
+            monotonicity_witness(np.array([1.0, 2.5]), 3.0)
         with pytest.raises(WrongRegimeError):
             monotonicity_witness(1.5, 1.5)
 
@@ -155,6 +171,13 @@ class TestSharpness:
         rep = sharpness_check(1.5, 1.0, n_chord=1001)
         assert rep.passed
         assert rep.worst_value < 1e-10
+
+    @pytest.mark.parametrize("p", [1.2, 1.5])
+    @pytest.mark.parametrize("eps", [1e-2, 3e-3, 1e-3])
+    def test_lt2_chord_equality_small_eps(self, p, eps):
+        # s* is near 2 eps^-p here, and the midpoint identity is checked to
+        # 1e-12 absolute: s* must solve its equation to the last ulp
+        assert sharpness_check(p, eps, n_chord=101).passed
 
     def test_ge2_gap_shrinks_with_probe(self):
         near = sharpness_check(3.0, 1.0, s_probe=1e3)

@@ -4,6 +4,8 @@ import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchors import DELTA_E1_P4, DELTA_P15_E1
 from ucx.cli import main
@@ -38,6 +40,14 @@ class TestTable:
         assert float(row["delta"]) == pytest.approx(DELTA_P15_E1, abs=1e-10)
         assert float(row["cross_check_residual"]) < 1e-8
         assert row["route"] == "s_star"
+
+    @pytest.mark.parametrize("p, eps", [("1.5", "1e-08"), ("1.99", "1e-06")])
+    def test_small_eps_below_two(self, p, eps):
+        code, out, err = run_cli(["table", "--p", p, "--eps", eps])
+        assert code == 0, err
+        row = parse_csv(out)[0]
+        assert row["route"] == "s_star" and float(row["delta"]) > 0.0
+        assert float(row["cross_check_residual"]) <= 1e-8
 
     def test_p4_closed_form(self):
         code, out, _ = run_cli(["table", "--p", "4", "--eps", "1"])
@@ -188,3 +198,89 @@ class TestDeterminism:
         _, first, _ = run_cli(args)
         _, second, _ = run_cli(args)
         assert first.encode() == second.encode()
+
+
+class TestBadInputsExit2:
+    @pytest.mark.parametrize("command", [
+        ["envelope", "--p", "2000", "--grid-n", "3", "--n-per-face", "4",
+         "--restarts", "1", "--local-steps", "5"],
+        ["verify", "--p", "2000", "--grid-n", "11", "--n-chord", "11"],
+    ])
+    def test_p_too_large_for_2_to_the_p(self, command):
+        code, out, err = run_cli(command)
+        assert code == 2 and out == ""
+        assert err.startswith("ucx: ") and err.count("\n") == 1
+
+    def test_table_keeps_large_p(self):
+        code, out, _ = run_cli(["table", "--p", "2000", "--eps", "1"])
+        assert code == 0 and float(parse_csv(out)[0]["delta"]) >= 0.0
+
+    @pytest.mark.parametrize("x", ["1,1,inf", "nan,1,1", "1,-inf,1"])
+    def test_non_finite_point(self, x):
+        code, out, err = run_cli(["bruteforce", "--p", "2", f"--x={x}",
+                                  "--restarts", "1", "--local-steps", "5"])
+        assert code == 2 and out == ""
+        assert err.startswith("ucx: ") and err.count("\n") == 1
+
+
+def _number():
+    special = st.sampled_from(
+        ["nan", "inf", "-inf", "0", "-1", "1", "2", "1.5", "3", "2000", "1e300", "5e-324", "1e-300"]
+    )
+    return st.one_of(special, st.floats(allow_nan=True, allow_infinity=True).map(repr))
+
+
+def _exponent():
+    return st.one_of(_number(), st.floats(1.0, 6.0).map(repr))
+
+
+def _eps_grid():
+    count = st.one_of(st.integers(-1, 5).map(str), st.sampled_from(["abc", "2.5", ""]))
+    grid = st.tuples(_number(), _number(), count).map(":".join)
+    return st.one_of(_number(), grid, st.sampled_from(["", ":", "1:2", "1:2:3:4", "x"]))
+
+
+def _opt(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["table", "verify", "envelope", "bruteforce"]))
+    argv = [command, f"--p={draw(_exponent())}"]
+    if command == "table":
+        argv += [f"--eps={draw(_eps_grid())}"]
+        argv += draw(_opt("format", st.sampled_from(["csv", "json", "xml"])))
+    elif command == "verify":
+        argv += draw(_opt("eps", _number()))
+        argv += [f"--grid-n={draw(_ints(-1, 11))}", f"--n-chord={draw(_ints(-1, 11))}",
+                 f"--trials={draw(_ints(-1, 50))}"]
+        argv += draw(_opt("s-max", _number())) + draw(_opt("s-probe", _number()))
+        argv += draw(_opt("seed", _ints(-2, 2**64)))
+    elif command == "envelope":
+        argv += draw(_opt("eps", _number()))
+        argv += [f"--grid-n={draw(_ints(-1, 11))}", f"--n-per-face={draw(_ints(-1, 6))}",
+                 f"--restarts={draw(_ints(-1, 2))}", f"--local-steps={draw(_ints(-1, 20))}"]
+        argv += draw(_opt("penalty", _number())) + draw(_opt("sandwich-tol", _number()))
+        argv += draw(_opt("seed", _ints(-2, 2**64)))
+    else:
+        coords = st.lists(_number(), min_size=2, max_size=4).map(",".join)
+        argv += [f"--x={draw(coords)}", f"--restarts={draw(_ints(-1, 2))}",
+                 f"--local-steps={draw(_ints(-1, 20))}"]
+        argv += draw(_opt("theta", _number())) + draw(_opt("penalty", _number()))
+        argv += draw(_opt("seed", _ints(-2, 2**64)))
+    return argv
+
+
+class TestFuzz:
+    @given(_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_main_exits_cleanly(self, argv):
+        # an exception escaping main fails the test with its traceback
+        code, _, err = run_cli(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err, (argv, err)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from anchors import FPRIME_4_P15, FPRIME_4_P2, GPRIME_4_P15, GPRIME_4_P2
+from helpers import central_diff
 from ucx.domain import (
     BoundaryFace,
     LambdaPoint,
     boundary_profile,
     boundary_value,
     contains,
+    face_value,
     profile_arrays,
     slice_lower_bound,
     slice_point,
@@ -18,7 +20,6 @@ from ucx.errors import (
     NotOnBoundaryError,
     OutOfRangeError,
 )
-from ucx.numerics import central_diff
 
 P_GRID = [1.1, 1.5, 2.0, 3.0, 4.0]
 
@@ -91,9 +92,32 @@ class TestBoundaryValue:
             x = slice_point(s, p)
             base = boundary_value(x, p)
             for lam in [0.25, 2.0, 117.0]:
-                assert boundary_value(x.scaled(lam), p) == pytest.approx(
+                y = LambdaPoint(lam * x.x1, lam * x.x2, lam * x.x3)
+                assert boundary_value(y, p) == pytest.approx(
                     lam * base, rel=1e-12, abs=1e-12
                 )
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
+    @pytest.mark.parametrize("theta", [0.25, 0.5])
+    def test_face_formulas_agree_on_edges(self, p, theta):
+        # each edge meets two faces; given by p-th roots, scaled off the unit
+        edges = [
+            ((0.7, 0.0, 0.7), (BoundaryFace.FACE3, BoundaryFace.FACE1)),
+            ((0.0, 0.7, 0.7), (BoundaryFace.FACE3, BoundaryFace.FACE2)),
+            ((0.7, 0.7, 0.0), (BoundaryFace.FACE1, BoundaryFace.FACE2)),
+        ]
+        for u, faces in edges:
+            first, second = (face_value(face, u, p, theta) for face in faces)
+            assert first == pytest.approx(second, rel=1e-14)
+            x = LambdaPoint(*(r**p for r in u))
+            assert boundary_value(x, p, theta) == pytest.approx(first, rel=1e-14)
+
+    def test_near_edge_point_within_face_tolerance(self):
+        # roots (1, 5e-10, 1) sit within FACE_TOL of the edge (1, 0, 1): FACE3
+        # and FACE1 both match, and their formulas differ by O(1e-9) there
+        x = LambdaPoint(1.0, 5e-10**3, 1.0)
+        assert contains(x, 3.0) is BoundaryFace.FACE3
+        assert boundary_value(x, 3.0) == pytest.approx(0.125 * (1.0 - 5e-10) ** 3, rel=1e-15)
 
     def test_general_theta_supported(self):
         # first face case with theta != 1/2: |t*u1 - (1-t)*u2|^p

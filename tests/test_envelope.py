@@ -118,7 +118,8 @@ class TestConcavify:
         for grid, x in cases:
             base = concavify(grid, x).result
             for lam in [0.5, 2.0]:
-                assert concavify(grid, x.scaled(lam)).result == pytest.approx(lam * base, rel=1e-12)
+                y = LambdaPoint(lam * x.x1, lam * x.x2, lam * x.x3)
+                assert concavify(grid, y).result == pytest.approx(lam * base, rel=1e-12)
 
     def test_refinement_never_decreases(self, grid_p2):
         coarse = sample_boundary(2.0, 0.5, 8)

@@ -1,11 +1,20 @@
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchors import DELTA_E1_P2, DELTA_E1_P4, DELTA_P15_E1, DELTA_TINY_CORNERS, S_STAR_P15_E1
+from anchors import (
+    DELTA_E1_P2,
+    DELTA_E1_P4,
+    DELTA_P15_E1,
+    DELTA_SMALL_EPS_LT2,
+    DELTA_TINY_CORNERS,
+    S_STAR_P15_E1,
+)
 from ucx.errors import DomainError, WrongRegimeError
 from ucx.moduli import (
     delta,
@@ -141,3 +150,45 @@ class TestInvariants:
         t = solve_s_star(p, eps).s_star ** (1.0 / p)
         resid = (eps * t) ** p + (eps * abs(t - 1.0)) ** p - 2.0
         assert abs(resid) < 1e-9
+
+
+def _delta_mpmath(p, eps):
+    """delta_p(eps) at 50 digits: bisection of (1-d+e/2)^p + |1-d-e/2|^p = 2 in d."""
+    with mpmath.workdps(50):
+        p, a = mpmath.mpf(p), mpmath.mpf(eps) / 2
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(140):  # width 2^-140, far below any root's last digit
+            mid = (lo + hi) / 2
+            if (1 - mid + a) ** p + abs(1 - mid - a) ** p > 2:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def _relative_error(value, ref):
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(value) - ref) / ref)
+
+
+class TestAccuracyContract:
+    """delta for 1 < p < 2 is within 1e-12 relative of a 50-digit mpmath root."""
+
+    @pytest.mark.parametrize("p, eps, expected", DELTA_SMALL_EPS_LT2)
+    def test_small_eps_anchors(self, p, eps, expected):
+        assert abs(delta(p, eps) - expected) <= 1e-12 * expected
+
+    def test_seeded_sample_against_mpmath(self):
+        rng = random.Random(20140219)
+        points = []
+        for _ in range(160):
+            p = rng.uniform(1.01, 2.0)
+            points.append((p, math.exp(rng.uniform(math.log(1e-8), math.log(2.0)))))
+        for p in (1.01, 1.5, 1.99):
+            points.append((p, 2.0 - 4e-16))
+        for _ in range(20):
+            # 1 - delta = eps/2 at eps = 2^(1/p), where the two powers trade places
+            p = rng.uniform(1.01, 2.0)
+            points += [(p, 2.0 ** (1.0 / p) * (1.0 + k)) for k in (0.0, 1e-12, -1e-9)]
+        worst = max((_relative_error(delta(p, eps), _delta_mpmath(p, eps)), p, eps) for p, eps in points)
+        assert worst[0] <= 1e-12, worst

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import central_diff
 from ucx.errors import InfeasibleError, NonFiniteError, NoSignChangeError
-from ucx.numerics import Bracket, LpProblem, bisect_root, central_diff, scan_extremum, solve_lp
+from ucx.numerics import Bracket, LpProblem, bisect_root, solve_lp
 
 
 class TestBisect:
@@ -85,48 +86,6 @@ class TestCentralDiff:
             + 16.0 * math.ulp(0.0) / h
         )
         assert abs(central_diff(fn, s, h) - expected) <= bound
-
-
-class TestScan:
-    def test_parabola_min(self):
-        assert scan_extremum(lambda t: (t - 1.0) ** 2, 0.0, 2.0, 201, "min") == (1.0, 0.0)
-
-    def test_linear_max_two_points(self):
-        assert scan_extremum(lambda t: t, 0.0, 1.0, 2, "max") == (1.0, 1.0)
-
-    def test_witness_nonnegative_p3(self):
-        # scan oracle, anchored by the endpoint values 1 - 2^(2-p) and 0
-        p = 3.0
-        fn = lambda s: 1.0 - (s - 1.0) ** (p - 1.0) - 2.0 * (1.0 - s / 2.0) ** (p - 1.0)
-        arg, val = scan_extremum(fn, 1.0, 2.0, 10001, "min")
-        assert val >= -1e-12
-        assert fn(1.0) == pytest.approx(1.0 - 2.0 ** (2.0 - p), abs=1e-12)
-        assert fn(2.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_scalar_only_function_falls_back_to_loop(self):
-        calls = []
-
-        def fn(t):
-            if isinstance(t, np.ndarray):
-                raise TypeError("scalar only")
-            calls.append(t)
-            return (t - 0.25) ** 2
-
-        arg, _ = scan_extremum(fn, 0.0, 1.0, 5, "min")
-        assert arg == 0.25 and len(calls) == 5
-
-    def test_non_finite_reported_with_argument(self):
-        def fn(t):
-            return np.where(t > 0.5, np.inf, t)
-
-        with pytest.raises(NonFiniteError):
-            scan_extremum(fn, 0.0, 1.0, 11, "max")
-
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            scan_extremum(lambda t: t, 0.0, 1.0, 1, "min")
-        with pytest.raises(ValueError):
-            scan_extremum(lambda t: t, 1.0, 0.0, 5, "min")
 
 
 def _simplex_problem(objective, matrix, rhs):
