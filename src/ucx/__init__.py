@@ -34,7 +34,6 @@ from .domain import (
     BoundaryProfile,
     LambdaPoint,
     boundary_profile,
-    boundary_value,
     contains,
     slice_lower_bound,
     slice_point,
@@ -60,7 +59,6 @@ __all__ = [
     "VerificationReport",
     "bisect_root",
     "boundary_profile",
-    "boundary_value",
     "brute_force_bellman",
     "certificate_ge2",
     "certificate_lt2",

@@ -1,34 +1,47 @@
-"""The extremal value function from below: step pairs and derivative-free search.
+"""The extremal value function from below: step pairs and an exactly feasible search.
 
 A step pair is a weighted list of atoms (a_j, f_j, g_j) standing for a
 piecewise-constant pair on a unit-mass interval; its averaged moments land
-in the cone and its payoff is a certified lower bound on the value function
-there.  ``brute_force_bellman`` pushes that lower bound up by seeded random
-restarts plus coordinate pattern search; ``hanner_gap`` and ``witness_test``
-check the classical two-function inequality and the midpoint-contraction
-definition of the modulus against the computed sharp constant.
+in the cone and its payoff is a lower bound on the value function there.
+``brute_force_bellman`` searches three atoms' values and solves for their
+weights exactly, so its payoff is such a lower bound up to float rounding.
+``hanner_gap`` and ``witness_test`` check the classical two-function
+inequality and the midpoint-contraction definition of the modulus against
+the computed sharp constant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certificates import VerificationReport
 from .domain import BoundaryFace, LambdaPoint, check_exponent, check_theta, contains
-from .errors import DomainError, InfeasibleStartError, PartitionMismatchError
+from .errors import DomainError, InfeasibleStartError, NoFeasiblePairError, PartitionMismatchError
 from .moduli import delta
 
 #: weights must sum to one within this slack
 WEIGHT_TOL = 1e-12
-#: atoms per pair in the optimizer: Caratheodory bound n+1 in moment dimension 3
-ATOM_COUNT = 4
+#: atoms per searched pair: the conic LP behind the value function has 3 rows
+#: and no mass row, so 3 atoms carry each of its vertices (Caratheodory)
+ATOM_COUNT = 3
+#: atoms per random pair in ``witness_test``
+WITNESS_ATOMS = 4
+#: relative bound on a solved pair's moment error: 64 units of float64
+#: rounding, room for the 3x3 solve and the moment sums
+MOMENT_RTOL = 64 * 2.0**-53
+#: pattern-search step floor, for atom values of a query scaled to max(x) = 1
+STEP_FLOOR = 1e-12
+#: a length-3 axis extended cyclically, so components i+1 and i+2 are slices
+_CYCLE = [0, 1, 2, 0, 1]
 
 
 @dataclass(frozen=True)
 class StepFunction:
-    """One marginal of a step pair: atoms of (weight, value)."""
+    """One marginal of a step pair: atoms of (weight, value), floats or
+    equal-shape arrays holding one function per element."""
 
     atoms: tuple[tuple[float, float], ...]
 
@@ -68,22 +81,6 @@ class StepPair:
     def g_values(self) -> np.ndarray:
         return np.array([g for _, _, g in self.atoms])
 
-    def merge(self, other: "StepPair", weight: float) -> "StepPair":
-        """Concatenate on subintervals of mass ``weight`` and 1 - ``weight``.
-
-        Moments and payoff are affine under merging, which is exactly the
-        concatenation step behind concavity of the value function.
-        """
-        if not (0.0 <= weight <= 1.0):
-            raise DomainError(f"merge weight must lie in [0, 1], got {weight!r}")
-        mine = tuple((weight * a, f, g) for a, f, g in self.atoms)
-        theirs = tuple(((1.0 - weight) * a, f, g) for a, f, g in other.atoms)
-        return StepPair(mine + theirs)
-
-    def scaled_values(self, c: float) -> "StepPair":
-        """Scale both functions pointwise; moments and payoff scale by |c|^p."""
-        return StepPair(tuple((a, c * f, c * g) for a, f, g in self.atoms))
-
 
 def moment(pair: StepPair, p: float) -> LambdaPoint:
     """Averaged moment vector (|f|^p, |g|^p, |f-g|^p); always lands in the cone."""
@@ -106,82 +103,98 @@ def payoff(pair: StepPair, p: float, theta: float = 0.5) -> float:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Knobs for the randomized search; identical budgets reproduce bit-for-bit.
+    """Restarts and pattern-search steps of ``brute_force_bellman``, and its seed.
 
     Restart streams derive from PCG64 seeded with (seed, restart index), so
-    results do not depend on evaluation order.  ``penalty`` is the quadratic
-    constraint weight.
+    identical budgets reproduce bit-for-bit and results do not depend on
+    evaluation order.
     """
 
     restarts: int = 64
     local_steps: int = 1200
     seed: int = 0
-    penalty: float = 1e4
 
     def __post_init__(self) -> None:
-        if self.restarts < 1 or self.local_steps < 1 or self.penalty <= 0.0:
+        if self.restarts < 1 or self.local_steps < 1:
             raise DomainError(f"budget fields must be positive: {self}")
 
 
 @dataclass(frozen=True)
 class BruteForceResult:
-    """Best witness found; ``value`` is its payoff after the exact rescale and
-    ``residual`` the remaining distance of its moments from the query point."""
+    """Best witness found: ``value`` is its payoff and ``residual`` the distance
+    of its moments from the query point, which is float rounding."""
 
     value: float
     witness: StepPair
     residual: float
 
 
-def _moments_and_payoff(w, f, g, p, theta):
-    s = np.maximum(w.sum(axis=1, keepdims=True), 1e-300)
-    a = w / s
-    m = np.stack(
-        [
-            (a * np.abs(f) ** p).sum(axis=1),
-            (a * np.abs(g) ** p).sum(axis=1),
-            (a * np.abs(f - g) ** p).sum(axis=1),
-        ],
-        axis=1,
-    )
-    pay = (a * np.abs(theta * f + (1.0 - theta) * g) ** p).sum(axis=1)
-    return m, pay
+def _atom_terms(f, g, p, theta):
+    """Moment vectors (|f|^p, |g|^p, |f-g|^p) on a new last axis, and payoffs."""
+    d = f - g
+    v = np.empty(d.shape + (3,))
+    v[..., 0], v[..., 1], v[..., 2] = np.abs(f) ** p, np.abs(g) ** p, np.abs(d) ** p
+    return v, np.abs(theta * f + (1.0 - theta) * g) ** p
 
 
-def _coordinate_search(w, f, g, score_fn, steps, h_weight, h_value):
-    """Cyclic pattern search over the 12 coordinates, vectorized over restarts.
+def _solve_weights(vj, wj, vk, wk, vl, wl, x, tol):
+    """Weights (a_j, a_k, a_l) with a_j v_j + a_k v_k + a_l v_l = x, and their scores.
 
-    Tries +/- the per-coordinate step, keeps strict improvements, expands
-    the step on success and shrinks it otherwise.  Deterministic given the
-    starting states.
+    Cramer's rule: the determinant and the numerators of a_k and a_l are dot
+    products of the moved atom's v_j with v_k x v_l, x x v_l and v_k x x, so
+    the trials for atom j share these cross products.  A trial with a >= 0
+    and moments within ``tol`` of x scores its payoff, the exact optimum of
+    the inner LP for those atom values; any other scores -1 minus its share
+    of negative weight, below every payoff, so a restart climbs into
+    feasibility first.
     """
-    n = w.shape[0]
-    h = np.empty((n, 3 * ATOM_COUNT))
-    h[:, :ATOM_COUNT] = h_weight
-    h[:, ATOM_COUNT:] = h_value
-    blocks = (w, f, g)
-    cur = score_fn(w, f, g)
+    xs = np.broadcast_to(x, vk.shape)
+    left, right = np.stack([vk, xs, vk])[..., _CYCLE], np.stack([vl, vl, xs])[..., _CYCLE]
+    cross = left[..., 1:4] * right[..., 2:5] - left[..., 2:5] * right[..., 1:4]
+    num = (vj[..., None, :] @ cross.transpose(1, 2, 0))[..., 0, :]
+    det = num[..., 0].copy()
+    num[..., 0] = cross[0] @ x
+    a = num / det[..., None]
+    m = a[..., :1] * vj + a[..., 1:2] * vk + a[..., 2:] * vl
+    feasible = (a >= 0.0).all(axis=-1) & (np.abs(m - x) <= tol).all(axis=-1)
+    neg = np.fmin(np.maximum(-a, 0.0).sum(axis=-1) / np.abs(a).sum(axis=-1), 1.0)
+    return a, np.where(feasible, a[..., 0] * wj + a[..., 1] * wk + a[..., 2] * wl, -1.0 - neg)
+
+
+def _pattern_search(vals, x, p, theta, steps):
+    """Cyclic pattern search over the values (f_0..f_2, g_0..g_2) of each restart.
+
+    ``x`` has largest coordinate 1.  Each step moves one value by + and -
+    its step size in one batch and keeps the better trial if it raises the
+    score; steps start at 1/2, grow by 1.6 on success and halve otherwise,
+    down to ``STEP_FLOOR``, where the search ends early.  ``vals`` is
+    updated in place; returns the weights of each restart's last accepted
+    move and its score.
+    """
+    v, w = _atom_terms(vals[:, :ATOM_COUNT], vals[:, ATOM_COUNT:], p, theta)
+    # the payoff is at most theta x1 + (1 - theta) x2 by convexity, so each
+    # moment is checked relative to itself or to max(x1, x2), the larger
+    tol = MOMENT_RTOL * np.maximum(x, x[:2].max())
+    a, score = _solve_weights(v[:, 0], w[:, 0], v[:, 1], w[:, 1], v[:, 2], w[:, 2], x, tol)
+    h = np.full(vals.shape, 0.5)
     for it in range(steps):
-        c = it % (3 * ATOM_COUNT)
-        b, j = divmod(c, ATOM_COUNT)
-        base = blocks[b]
-        col = base[:, j].copy()
-        best = cur
-        best_col = col
-        for sign in (1.0, -1.0):
-            trial = col + sign * h[:, c]
-            if b == 0:
-                trial = np.maximum(trial, 0.0)  # weights stay nonnegative
-            base[:, j] = trial
-            val = score_fn(w, f, g)
-            better = val > best
-            best = np.where(better, val, best)
-            best_col = np.where(better, trial, best_col)
-        improved = best > cur
-        base[:, j] = np.where(improved, best_col, col)
-        cur = np.where(improved, best, cur)
-        h[:, c] *= np.where(improved, 1.6, 0.5)
-        h[:, c] = np.maximum(h[:, c], 1e-14)
+        c = it % vals.shape[1]
+        j = c % ATOM_COUNT
+        k, l = (j + 1) % ATOM_COUNT, (j + 2) % ATOM_COUNT
+        trial = vals[:, c] + np.array([[1.0], [-1.0]]) * h[:, c]
+        fj, gj = (trial, vals[:, j + ATOM_COUNT]) if c < ATOM_COUNT else (vals[:, j], trial)
+        vj, wj = _atom_terms(fj, gj, p, theta)
+        at, st = _solve_weights(vj, wj, v[:, k], w[:, k], v[:, l], w[:, l], x, tol)
+        pick, best = st.argmax(axis=0), st.max(axis=0)
+        improved = best > score
+        sel = improved.nonzero()[0]
+        ps = pick[sel]
+        vals[sel, c], v[sel, j], w[sel, j] = trial[ps, sel], vj[ps, sel], wj[ps, sel]
+        a[sel[:, None], [j, k, l]], score[sel] = at[ps, sel], best[sel]
+        h[:, c] = np.maximum(h[:, c] * np.where(improved, 1.6, 0.5), STEP_FLOOR)
+        if c == vals.shape[1] - 1 and (h <= STEP_FLOOR).all():
+            break
+    return a, score
 
 
 def brute_force_bellman(
@@ -190,79 +203,67 @@ def brute_force_bellman(
     theta: float = 0.5,
     budget: SearchBudget | None = None,
 ) -> BruteForceResult:
-    """Maximize the payoff over 4-atom step pairs with moments pinned at ``x``.
+    """Maximize the payoff over 3-atom step pairs whose moments equal ``x``.
 
-    Each restart starts from a random pair whose atoms mix independent,
-    collinear, antipodal, and mirror-image draws (queries with symmetric
-    moments have swap-symmetric extremizers, so mirrored pairs need to be
-    reachable).  The penalized coordinate search then runs in two stages,
-    a loose penalty that lets the payoff move along the constraint
-    manifold and then the full penalty, followed by a pure feasibility
-    polish and an exact rescale onto the largest target coordinate using
-    degree-1 homogeneity.  Restarts are ranked by penalized score so an
-    infeasible straggler cannot outrank a polished witness; the reported
-    value is a lower bound on the value function up to the reported
-    residual.
+    On a face of the cone (as ``contains`` classifies it) the only pairs
+    are collinear, and the one-atom collinear pair is returned with no
+    search.  Inside, the search runs at x / max(x) by degree-1 homogeneity.
+    Each restart draws atom values that mix independent, collinear,
+    antipodal and mirror-image pairs (queries with symmetric moments have
+    swap-symmetric extremizers, so mirrored pairs need to be reachable);
+    the pattern search moves the values only, and the weights come from an
+    exact 3x3 solve, checked for sign and for moments within
+    ``MOMENT_RTOL``.  ``residual`` is the distance of the witness's moments
+    m from x; its payoff is at most V(m), so it exceeds the value V(x) by at
+    most the gradient of V times m - x.  Raises ``NoFeasiblePairError`` when
+    no restart reaches a feasible pair.
     """
     p = check_exponent(p)
     theta = check_theta(theta)
     budget = budget if budget is not None else SearchBudget()
-    if contains(x, p) is BoundaryFace.OUTSIDE:
+    face = contains(x, p)
+    if face is BoundaryFace.OUTSIDE:
         raise InfeasibleStartError(f"{x} lies outside the cone")
     target = x.as_array()
-    if target.max() <= 0.0:
-        flat = StepPair(tuple((1.0 / ATOM_COUNT, 0.0, 0.0) for _ in range(ATOM_COUNT)))
-        return BruteForceResult(0.0, flat, 0.0)
+    if face.on_boundary:
+        u1, u2, _ = (float(u) for u in target ** (1.0 / p))
+        atoms = ((1.0, u1, -u2 if face is BoundaryFace.FACE3 else u2),)
+    else:
+        atoms = _search(target, p, theta, budget)
+    witness = StepPair(atoms)
+    residual = math.hypot(*(moment(witness, p).as_array() - target))
+    return BruteForceResult(payoff(witness, p, theta), witness, residual)
 
-    n = budget.restarts
-    v0 = target.max() ** (1.0 / p)
-    w = np.empty((n, ATOM_COUNT))
-    f = np.empty((n, ATOM_COUNT))
-    g = np.empty((n, ATOM_COUNT))
-    for i in range(n):
+
+def _search(target, p, theta, budget):
+    """Atoms of the best feasible pair found for an interior query."""
+    scale = target.max()
+    vals = np.empty((budget.restarts, 2 * ATOM_COUNT))
+    f, g = vals[:, :ATOM_COUNT], vals[:, ATOM_COUNT:]
+    for i in range(budget.restarts):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((budget.seed, i))))
-        w[i] = rng.uniform(0.2, 1.0, ATOM_COUNT)
-        f[i] = rng.uniform(-2.0, 2.0, ATOM_COUNT) * v0
+        f[i] = rng.uniform(-2.0, 2.0, ATOM_COUNT)
         style = rng.integers(0, 4, ATOM_COUNT)
-        indep = rng.uniform(-2.0, 2.0, ATOM_COUNT) * v0
-        shift = f[i] - rng.uniform(-1.0, 1.0, ATOM_COUNT) * v0
+        # three antipodal atoms share one moment ray: no single move then
+        # makes the 3x3 system regular again
+        style[-1] = min(style[-1], 2)
+        indep = rng.uniform(-2.0, 2.0, ATOM_COUNT)
+        shift = f[i] - rng.uniform(-1.0, 1.0, ATOM_COUNT)
         g[i] = np.where(style <= 1, indep, np.where(style == 2, shift, -f[i]))
-        if rng.random() < 0.5:  # mirror atoms pairwise: (f,g) and (g,f)
+        if rng.random() < 0.5:  # mirror a pair of atoms: (f,g) and (g,f)
             f[i, 1], g[i, 1] = g[i, 0], f[i, 0]
-            f[i, 3], g[i, 3] = g[i, 2], f[i, 2]
-
-    def penalized(pen: float):
-        def score(wa, fa, ga):
-            m, pay = _moments_and_payoff(wa, fa, ga, p, theta)
-            return pay - pen * ((m - target) ** 2).sum(axis=1)
-
-        return score
-
-    def feasibility(wa, fa, ga):
-        m, _ = _moments_and_payoff(wa, fa, ga, p, theta)
-        return -((m - target) ** 2).sum(axis=1)
-
-    stage = budget.local_steps // 2
-    _coordinate_search(w, f, g, penalized(0.03 * budget.penalty), stage, 0.25, 0.5 * v0)
-    _coordinate_search(
-        w, f, g, penalized(budget.penalty), budget.local_steps - stage, 0.075, 0.15 * v0
-    )
-    polish = max(300, budget.local_steps // 3)
-    _coordinate_search(w, f, g, feasibility, polish, 0.05, 0.05 * v0)
-
-    # exact rescale onto the largest coordinate of the target
-    m, _ = _moments_and_payoff(w, f, g, p, theta)
-    k = int(np.argmax(target))
-    lam = np.where(m[:, k] > 1e-300, (target[k] / np.maximum(m[:, k], 1e-300)) ** (1.0 / p), 1.0)
-    f *= lam[:, None]
-    g *= lam[:, None]
-    m, pay = _moments_and_payoff(w, f, g, p, theta)
-    r2 = ((m - target) ** 2).sum(axis=1)
-    best = int(np.argmax(pay - budget.penalty * r2))
-
-    a = w[best] / w[best].sum()
-    witness = StepPair(tuple((float(a[j]), float(f[best, j]), float(g[best, j])) for j in range(ATOM_COUNT)))
-    return BruteForceResult(float(pay[best]), witness, float(np.sqrt(r2[best])))
+    with np.errstate(all="ignore"):  # overflow and singular solves score as infeasible
+        a, score = _pattern_search(vals, target / scale, p, theta, budget.local_steps)
+    best = int(np.argmax(score))
+    if not score[best] >= 0.0:
+        raise NoFeasiblePairError(f"no restart reached a step pair with moments {target.tolist()}"
+                                  f" in {budget.local_steps} steps; raise the restarts or steps")
+    # scale each atom to largest moment 1 (its weight takes the factor), then
+    # the pair to unit mass and x: no witness moment then exceeds 3 max(x)
+    top = _atom_terms(f[best], g[best], p, theta)[0].max(axis=1)
+    w = a[best] * top
+    c = (scale * w.sum() / top) ** (1.0 / p)
+    return tuple(zip((w / w.sum()).tolist(), (f[best] * c).tolist(), (g[best] * c).tolist()))
 
 
 def format_witness(x: LambdaPoint, p: float, theta: float, result: BruteForceResult) -> str:
@@ -275,13 +276,14 @@ def format_witness(x: LambdaPoint, p: float, theta: float, result: BruteForceRes
     return "\n".join([head] + rows)
 
 
-def hanner_gap(f_fn: StepFunction, g_fn: StepFunction, p: float) -> float:
+def hanner_gap(f_fn: StepFunction, g_fn: StepFunction, p: float):
     """Two-function inequality gap on a shared partition.
 
     Returns ||f+g||^p + ||f-g||^p - (||f||+||g||)^p - | ||f||-||g|| |^p,
     which is >= 0 for p in [1, 2] and <= 0 for p >= 2 (equality at p = 2 by
     the parallelogram law).  p = 1 is admitted here, unlike the rest of the
-    cone geometry.
+    cone geometry.  A float for float atoms; for array atoms, an array of
+    the gaps of the pairs element by element.
     """
     if not p >= 1.0:
         raise DomainError(f"the inequality is stated for p >= 1, got {p!r}")
@@ -290,13 +292,13 @@ def hanner_gap(f_fn: StepFunction, g_fn: StepFunction, p: float) -> float:
         raise PartitionMismatchError("marginals do not share atom weights")
     fv, gv = f_fn.values, g_fn.values
 
-    def norm(vals: np.ndarray) -> float:
-        return float(aw @ np.abs(vals) ** p) ** (1.0 / p)
+    def norm(vals: np.ndarray) -> np.ndarray:
+        return (aw * np.abs(vals) ** p).sum(axis=0) ** (1.0 / p)
 
     lhs = norm(fv + gv) ** p + norm(fv - gv) ** p
     nf, ng = norm(fv), norm(gv)
-    rhs = (nf + ng) ** p + abs(nf - ng) ** p
-    return lhs - rhs
+    gap = lhs - ((nf + ng) ** p + np.abs(nf - ng) ** p)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def witness_test(p: float, eps: float, trials: int, seed: int) -> VerificationReport:
@@ -316,13 +318,13 @@ def witness_test(p: float, eps: float, trials: int, seed: int) -> VerificationRe
     bound = 1.0 - delta(p, eps) + 1e-9
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    wts = rng.uniform(0.05, 1.0, (trials, ATOM_COUNT))
+    wts = rng.uniform(0.05, 1.0, (trials, WITNESS_ATOMS))
     wts /= wts.sum(axis=1, keepdims=True)
 
     def draw_values() -> np.ndarray:
-        flat = rng.uniform(-2.0, 2.0, (trials, ATOM_COUNT))
-        spike = rng.integers(0, 2, (trials, ATOM_COUNT)).astype(float) * 2.0 - 1.0
-        use_spike = rng.integers(0, 2, (trials, ATOM_COUNT)).astype(bool)
+        flat = rng.uniform(-2.0, 2.0, (trials, WITNESS_ATOMS))
+        spike = rng.integers(0, 2, (trials, WITNESS_ATOMS)).astype(float) * 2.0 - 1.0
+        use_spike = rng.integers(0, 2, (trials, WITNESS_ATOMS)).astype(bool)
         return np.where(use_spike, spike, flat)
 
     fv, gv = draw_values(), draw_values()

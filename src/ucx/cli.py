@@ -166,7 +166,7 @@ def cmd_envelope(args) -> int:
     if args.grid_n < 2:
         raise UsageError(f"grid-n must be at least 2, got {args.grid_n}")
     grid = envelope.sample_boundary(p, 0.5, args.n_per_face)
-    budget = bellman.SearchBudget(args.restarts, args.local_steps, args.seed, args.penalty)
+    budget = bellman.SearchBudget(args.restarts, args.local_steps, args.seed)
     rows = []
     for i in range(args.grid_n):
         point = LambdaPoint(1.0, 1.0, i * (2.0**p) / (args.grid_n - 1))
@@ -207,11 +207,17 @@ def cmd_bruteforce(args) -> int:
         raise UsageError(f"moment coordinates must be nonnegative, got {args.x!r}")
     if not args.p > 1.0:
         raise UsageError(f"p must exceed 1, got {args.p}")
+    try:  # the search's largest moment is about (4 * max root)**p = 4**p * max(x)
+        top = 4.0**args.p * max(coords)
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise UsageError(f"the search's largest moment 4**p * max(x) overflows at p={args.p!r}")
     x = LambdaPoint(*coords)
     if contains(x, args.p) is BoundaryFace.OUTSIDE:
         print(f"ucx: point {args.x} lies outside the cone", file=sys.stderr)
         return 1
-    budget = bellman.SearchBudget(args.restarts, args.local_steps, args.seed, args.penalty)
+    budget = bellman.SearchBudget(args.restarts, args.local_steps, args.seed)
     result = bellman.brute_force_bellman(x, args.p, args.theta, budget)
     out, close = _open_output(args.output)
     try:
@@ -257,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="no effect: the envelope samples one compact section of the cone")
     e.add_argument("--restarts", type=int, default=24)
     e.add_argument("--local-steps", type=int, default=600, dest="local_steps")
-    e.add_argument("--penalty", type=float, default=1e4)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--sandwich-tol", type=float, default=2.5e-2, dest="sandwich_tol")
     e.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -271,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--restarts", type=int, default=200)
     b.add_argument("--local-steps", type=int, default=2000, dest="local_steps")
-    b.add_argument("--penalty", type=float, default=1e4)
     b.add_argument("--output", default="-")
     b.set_defaults(fn=cmd_bruteforce)
     return parser

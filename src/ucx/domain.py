@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NegativeCoordinateError, NotOnBoundaryError, OutOfRangeError
+from .errors import DomainError, NegativeCoordinateError, OutOfRangeError
 
 #: relative tolerance for boundary-face classification
 FACE_TOL = 1e-9
@@ -132,20 +132,6 @@ def face_value(face: BoundaryFace, u, p: float, theta: float):
     if face is BoundaryFace.FACE1:
         return (theta * u3 + u2) ** p
     return (u1 + (1.0 - theta) * u3) ** p
-
-
-def boundary_value(x: LambdaPoint, p: float, theta: float = 0.5, tol: float = FACE_TOL) -> float:
-    """Collinear-pair payoff at a boundary point, by the face ``contains`` reports.
-
-    On an edge several face formulas apply; they agree there (the data is
-    continuous across edges), and the first face in the order of
-    ``contains`` is used.
-    """
-    theta = check_theta(theta)
-    face = contains(x, p, tol)
-    if not face.on_boundary:
-        raise NotOnBoundaryError(f"{x} is {face.value}, not on the cone boundary")
-    return face_value(face, _roots(x, p), p, theta)
 
 
 def profile_arrays(s, p: float):

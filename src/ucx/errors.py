@@ -29,10 +29,6 @@ class NegativeCoordinateError(UcxError):
     """Moment coordinates must be nonnegative."""
 
 
-class NotOnBoundaryError(UcxError):
-    """Boundary data requested at a point not on the cone boundary."""
-
-
 class OutOfRangeError(UcxError):
     """Slice parameter outside the parametrized range."""
 
@@ -47,3 +43,7 @@ class PartitionMismatchError(UcxError):
 
 class InfeasibleStartError(UcxError):
     """Brute-force search started at a point outside the cone."""
+
+
+class NoFeasiblePairError(UcxError):
+    """No restart of the step-pair search reached a pair with the query's moments."""

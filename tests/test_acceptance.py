@@ -149,7 +149,7 @@ def test_criterion_5_sandwich_reconstruction():
             x = LambdaPoint(1.0, 1.0, eps**p)
             res = brute_force_bellman(x, p, 0.5, budget)
             cv = cert.value(x)
-            assert res.value >= cv - 5e-3, f"p={p}: bf={res.value} cert={cv}"
+            assert res.value >= cv - 1e-6, f"p={p}: bf={res.value} cert={cv}"
             assert res.value <= cv + 1e-6
     report(5, "sandwich reconstruction of the slice values", sw)
 
@@ -161,16 +161,12 @@ def test_criterion_6_hanner_property_suite():
             weights = rng.dirichlet(np.ones(4), size=10000)
             fvals = rng.uniform(-2.0, 2.0, (10000, 4))
             gvals = rng.uniform(-2.0, 2.0, (10000, 4))
-            worst_low, worst_high = np.inf, -np.inf
-            for w, fv, gv in zip(weights, fvals, gvals):
-                atoms_w = tuple(w)
-                gap = hanner_gap(
-                    StepFunction(tuple(zip(atoms_w, fv))),
-                    StepFunction(tuple(zip(atoms_w, gv))),
-                    p,
-                )
-                worst_low = min(worst_low, gap)
-                worst_high = max(worst_high, gap)
+            gaps = hanner_gap(
+                StepFunction(tuple(zip(weights.T, fvals.T))),
+                StepFunction(tuple(zip(weights.T, gvals.T))),
+                p,
+            )
+            worst_low, worst_high = gaps.min(), gaps.max()
             if p <= 2.0:
                 assert worst_low >= -1e-12, f"p={p}: {worst_low}"
             if p >= 2.0:

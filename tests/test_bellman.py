@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from anchors import HANNER_HALF_MASS_P15
+from helpers import boundary_value
 from ucx.bellman import (
+    MOMENT_RTOL,
     SearchBudget,
     StepFunction,
     StepPair,
@@ -15,7 +17,7 @@ from ucx.bellman import (
 )
 from ucx.certificates import certificate_ge2, certificate_lt2
 from ucx.domain import BoundaryFace, LambdaPoint, contains
-from ucx.errors import DomainError, InfeasibleStartError, PartitionMismatchError
+from ucx.errors import DomainError, InfeasibleStartError, NoFeasiblePairError, PartitionMismatchError
 
 
 def pair(*atoms):
@@ -36,7 +38,10 @@ class TestStepPair:
         a = pair((0.5, 1.3, -0.2), (0.5, 0.1, 0.7))
         b = pair((1.0, -2.0, 0.4))
         lam = 0.3
-        merged = a.merge(b, lam)
+        merged = StepPair(
+            tuple((lam * w, f, g) for w, f, g in a.atoms)
+            + tuple(((1 - lam) * w, f, g) for w, f, g in b.atoms)
+        )
         ma, mb, mm = moment(a, p), moment(b, p), moment(merged, p)
         np.testing.assert_allclose(
             mm.as_array(), lam * ma.as_array() + (1 - lam) * mb.as_array(), rtol=1e-13
@@ -49,7 +54,8 @@ class TestStepPair:
         p = 1.7
         base = pair((0.25, 1.0, -2.0), (0.75, 0.3, 0.4))
         lam = 0.6
-        scaled = base.scaled_values(lam ** (1.0 / p))
+        c = lam ** (1.0 / p)
+        scaled = StepPair(tuple((a, c * f, c * g) for a, f, g in base.atoms))
         np.testing.assert_allclose(
             moment(scaled, p).as_array(), lam * moment(base, p).as_array(), rtol=1e-13
         )
@@ -129,6 +135,20 @@ class TestHanner:
         g = StepFunction(((1.0, 0.5),))
         assert hanner_gap(f, g, 1.0) >= -1e-12
 
+    def test_array_atoms_match_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        w = rng.dirichlet(np.ones(4), size=50)
+        fv, gv = rng.uniform(-2, 2, (2, 50, 4))
+        for p in [1.0, 1.5, 3.0]:
+            gaps = hanner_gap(StepFunction(tuple(zip(w.T, fv.T))), StepFunction(tuple(zip(w.T, gv.T))), p)
+            assert gaps.shape == (50,)
+            for i in range(50):
+                one = hanner_gap(
+                    StepFunction(tuple(zip(w[i], fv[i]))), StepFunction(tuple(zip(w[i], gv[i]))), p
+                )
+                # vectorized powers may round differently from scalar ones
+                assert gaps[i] == pytest.approx(one, rel=1e-13, abs=1e-12)
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
     def test_sign_by_regime(self, p):
         rng = np.random.default_rng(421)
@@ -161,8 +181,52 @@ class TestBruteForce:
     def test_interior_point_reaches_certificate_p4(self):
         budget = SearchBudget(restarts=64, local_steps=1200, seed=3)
         res = brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 4.0, 0.5, budget)
-        assert res.residual < 1e-6
-        assert 15.0 / 16.0 - 2e-2 <= res.value <= 15.0 / 16.0 + 1e-6
+        assert res.residual <= 2.0 * MOMENT_RTOL * np.sqrt(3.0)
+        assert 15.0 / 16.0 - 1e-6 <= res.value <= 15.0 / 16.0 + 1e-12
+
+    @pytest.mark.parametrize("p", [1.1, 1.25, 1.5, 3.0, 4.0])
+    def test_never_above_certificate(self, p):
+        # payoff <= V(m) <= cert(m) = cert(x) + c.(m - x) at the witness's
+        # moments m; |m - x| is within the solve's check, doubled for the
+        # rounding of the unit-mass rescale
+        cert = certificate_lt2(p, 1.0) if p < 2.0 else certificate_ge2(p)
+        top = 2.0**p
+        for x3 in [0.0, 1e-6, top * (1.0 - 1e-6), top]:
+            x = LambdaPoint(1.0, 1.0, x3)
+            rounding = 2.0 * MOMENT_RTOL * np.maximum(x.as_array(), max(x.x1, x.x2))
+            res = brute_force_bellman(x, p, 0.5, SearchBudget(24, 600, seed=0))
+            assert (np.abs(moment(res.witness, p).as_array() - x.as_array()) <= rounding).all()
+            assert res.value <= cert.value(x) + np.abs(cert.c) @ rounding + 1e-15
+
+    @pytest.mark.parametrize("p", [1.25, 4.0])
+    def test_faces_give_the_collinear_atom(self, p):
+        # no 3 atoms have full rank on a face: the one-atom pair is returned
+        for x3, value in [(0.0, 1.0), (2.0**p, 0.0)]:
+            res = brute_force_bellman(LambdaPoint(1.0, 1.0, x3), p)
+            assert len(res.witness.atoms) == 1
+            assert res.value == value and res.residual == 0.0
+        faces = [((2.0**p, 1.0, 1.0), 0.3), ((1.0, 2.0**p, 1.0), 0.7), ((1.0, 2.0**p, 3.0**p), 0.2)]
+        for coords, theta in faces:
+            x = LambdaPoint(*coords)
+            res = brute_force_bellman(x, p, theta)
+            assert len(res.witness.atoms) == 1
+            assert res.value == pytest.approx(boundary_value(x, p, theta), rel=1e-14)
+            assert res.residual <= 1e-15 * np.linalg.norm(x.as_array())
+
+    def test_tiny_budget_without_feasible_pair_raises(self):
+        with pytest.raises(NoFeasiblePairError):
+            brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 3.0, 0.5, SearchBudget(1, 1, seed=1))
+
+    def test_extreme_query_scales(self):
+        # the search runs at x / max(x): the cross products of moments of
+        # size 1e-200 or 1e200 would under- or overflow
+        budget = SearchBudget(8, 200, seed=0)
+        unit = brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 1.5, 0.5, budget)
+        for s in [1e-200, 1e200]:
+            res = brute_force_bellman(LambdaPoint(s, s, s), 1.5, 0.5, budget)
+            assert res.value == pytest.approx(s * unit.value, rel=1e-13)
+            # the unit-mass rescale by s**(1/p) is off by about |log s| ulps
+            assert res.residual <= 1e-12 * s
 
     def test_witness_consistent_with_reported_value(self):
         budget = SearchBudget(restarts=16, local_steps=400, seed=8)
@@ -207,7 +271,7 @@ class TestBruteForce:
         text = format_witness(x, 2.0, 0.5, res)
         lines = text.splitlines()
         assert lines[0].startswith("x=1.0,1.0,1.0 p=2.0 theta=0.5 value=")
-        assert len(lines) == 5
+        assert len(lines) == 4
         assert all(line.startswith("w=") and " f=" in line and " g=" in line for line in lines[1:])
 
 

@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import re
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -160,6 +162,16 @@ class TestEnvelope:
         code, _, err = run_cli(["envelope", "--p", "1.5"])
         assert code == 2 and "epsilon required" in err
 
+    @pytest.mark.parametrize("argv", [
+        *(["--p", "1.25", "--eps", "0.66", "--seed", str(seed)] for seed in range(8)),
+        ["--p", "1.5", "--eps", "0.794", "--seed", "4"],
+    ])
+    def test_search_stays_below_the_value_at_the_antipodal_edge(self, argv):
+        # only antipodal pairs have the moments (1, 1, 2^p), and their payoff is 0
+        code, out, err = run_cli(["envelope", *argv, "--grid-n", "5"])
+        assert code == 0 and err == ""
+        assert float(parse_csv(out)[-1]["brute_force"]) == 0.0
+
 
 class TestBruteforce:
     def test_probe_value_range(self):
@@ -185,6 +197,12 @@ class TestBruteforce:
         code, _, _ = run_cli(["bruteforce", "--p", "2", "--x", "a,b,c"])
         assert code == 2
 
+    def test_tiny_budget_without_feasible_pair_exit_2(self):
+        code, out, err = run_cli(["bruteforce", "--p", "3", "--x", "1,1,1",
+                                  "--restarts", "1", "--local-steps", "1", "--seed", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith("ucx: ") and err.count("\n") == 1
+
     def test_outside_point_exit_1(self):
         code, _, err = run_cli(["bruteforce", "--p", "2", "--x", "1,1,99",
                                 "--restarts", "2", "--local-steps", "10"])
@@ -208,6 +226,14 @@ class TestBadInputsExit2:
     ])
     def test_p_too_large_for_2_to_the_p(self, command):
         code, out, err = run_cli(command)
+        assert code == 2 and out == ""
+        assert err.startswith("ucx: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("p, x", [("1556", "0,1,1"), ("2", "1e308,1,1")])
+    def test_search_moments_overflow(self, p, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["bruteforce", "--p", p, "--x", x])
         assert code == 2 and out == ""
         assert err.startswith("ucx: ") and err.count("\n") == 1
 
@@ -265,13 +291,13 @@ def _argv(draw):
         argv += draw(_opt("eps", _number()))
         argv += [f"--grid-n={draw(_ints(-1, 11))}", f"--n-per-face={draw(_ints(-1, 6))}",
                  f"--restarts={draw(_ints(-1, 2))}", f"--local-steps={draw(_ints(-1, 20))}"]
-        argv += draw(_opt("penalty", _number())) + draw(_opt("sandwich-tol", _number()))
+        argv += draw(_opt("sandwich-tol", _number()))
         argv += draw(_opt("seed", _ints(-2, 2**64)))
     else:
         coords = st.lists(_number(), min_size=2, max_size=4).map(",".join)
         argv += [f"--x={draw(coords)}", f"--restarts={draw(_ints(-1, 2))}",
                  f"--local-steps={draw(_ints(-1, 20))}"]
-        argv += draw(_opt("theta", _number())) + draw(_opt("penalty", _number()))
+        argv += draw(_opt("theta", _number()))
         argv += draw(_opt("seed", _ints(-2, 2**64)))
     return argv
 
@@ -281,6 +307,11 @@ class TestFuzz:
     @settings(max_examples=150, deadline=None)
     def test_main_exits_cleanly(self, argv):
         # an exception escaping main fails the test with its traceback
-        code, _, err = run_cli(argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(argv)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err, (argv, err)
+        search = [w for w in caught if issubclass(w.category, RuntimeWarning)
+                  and w.filename.endswith(os.path.join("ucx", "bellman.py"))]
+        assert not search, (argv, [str(w.message) for w in search])

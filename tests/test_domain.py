@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from anchors import FPRIME_4_P15, FPRIME_4_P2, GPRIME_4_P15, GPRIME_4_P2
-from helpers import central_diff
+from helpers import NotOnBoundaryError, boundary_value, central_diff
 from ucx.domain import (
     BoundaryFace,
     LambdaPoint,
     boundary_profile,
-    boundary_value,
     contains,
     face_value,
     profile_arrays,
@@ -17,7 +16,6 @@ from ucx.domain import (
 from ucx.errors import (
     DomainError,
     NegativeCoordinateError,
-    NotOnBoundaryError,
     OutOfRangeError,
 )
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from anchors import PAYOFF_P15_E1
+from helpers import boundary_value
 from ucx.bellman import SearchBudget, brute_force_bellman
 from ucx.certificates import certificate_ge2, certificate_lt2
-from ucx.domain import LambdaPoint, boundary_value, contains
+from ucx.domain import LambdaPoint, contains
 from ucx.envelope import ObstacleGrid, concavify, sample_boundary
 from ucx.errors import DomainError, InfeasibleError
 
