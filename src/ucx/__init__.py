@@ -24,7 +24,6 @@ from .certificates import (
     VerificationReport,
     certificate_ge2,
     certificate_lt2,
-    majorization_gap,
     monotonicity_witness,
     sharpness_check,
     verify_appendix,
@@ -36,7 +35,6 @@ from .domain import (
     boundary_profile,
     contains,
     slice_lower_bound,
-    slice_point,
 )
 from .envelope import EnvelopeQuery, ObstacleGrid, concavify, sample_boundary
 from .moduli import SStar, delta, delta_closed_form, delta_implicit, delta_via_s_star, solve_s_star
@@ -70,14 +68,12 @@ __all__ = [
     "delta_via_s_star",
     "format_witness",
     "hanner_gap",
-    "majorization_gap",
     "moment",
     "monotonicity_witness",
     "payoff",
     "sample_boundary",
     "sharpness_check",
     "slice_lower_bound",
-    "slice_point",
     "solve_lp",
     "solve_s_star",
     "verify_appendix",

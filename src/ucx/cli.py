@@ -123,21 +123,8 @@ def cmd_verify(args) -> int:
     if eps is not None and eps == 0.0:
         raise UsageError("eps must be positive for verification scans")
     _check_scale(args.p, eps)
-    reports = certificates.verify_appendix(args.p, eps, args.grid_n, args.s_max)
-    if args.p < 2.0:
-        reports.append(certificates.sharpness_check(args.p, eps, n_chord=args.n_chord))
-    else:
-        e = eps if eps is not None else 1.0
-        near = certificates.sharpness_check(args.p, e, args.s_probe, args.n_chord)
-        far = certificates.sharpness_check(args.p, e, args.s_probe * 1000.0, args.n_chord)
-        shrinks = certificates.VerificationReport(
-            "chord-gap-shrinks",
-            args.n_chord,
-            far.worst_value - near.worst_value,
-            args.s_probe * 1000.0,
-            bool(args.p == 2.0 or far.worst_value < near.worst_value),
-        )
-        reports.extend([near, far, shrinks])
+    reports = certificates.verify_appendix(args.p, eps, args.grid_n)
+    reports.append(certificates.sharpness_check(args.p, eps, args.n_chord))
     if args.trials > 0 and eps is not None:
         reports.append(bellman.witness_test(args.p, eps, args.trials, args.seed))
     out, close = _open_output(args.output)
@@ -246,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p", type=float, required=True)
     v.add_argument("--eps", type=float, default=None)
     v.add_argument("--grid-n", type=int, default=10001, dest="grid_n")
-    v.add_argument("--s-max", type=float, default=100.0, dest="s_max")
-    v.add_argument("--s-probe", type=float, default=1e3, dest="s_probe")
     v.add_argument("--n-chord", type=int, default=1001, dest="n_chord")
     v.add_argument("--trials", type=int, default=0, help="witness trials (0 skips)")
     v.add_argument("--seed", type=int, default=0)

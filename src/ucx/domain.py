@@ -5,7 +5,9 @@ A point x = (x1, x2, x3) collects the averaged p-th moments
 convex cone cut out by the three p-th-root triangle inequalities; on its
 boundary the pair is forced to be collinear, which pins the payoff down
 to explicit formulas.  The theta=1/2 boundary slice at x3 = 1 is carried
-by the one-parameter profile (s, g(s), 1) with boundary payoff f(s).
+by the one-parameter profile (s, g(s), 1) with boundary payoff f(s); on the
+compact section of the cone (largest p-th root 1) the whole slice, s -> oo
+included, is parametrized by its payoff root tau in [0, 1].
 """
 
 from __future__ import annotations
@@ -166,9 +168,30 @@ def boundary_profile(s: float, p: float) -> BoundaryProfile:
     return BoundaryProfile(float(s), float(g), float(f), float(gp_), float(fp_))
 
 
-def slice_point(s: float, p: float, swapped: bool = False) -> LambdaPoint:
-    """The boundary point (s, g(s), 1), or its x1<->x2 mirror when swapped."""
-    prof = boundary_profile(s, p)
-    if swapped:
-        return LambdaPoint(prof.g, prof.s, 1.0)
-    return LambdaPoint(prof.s, prof.g, 1.0)
+def section_profile(tau, p: float):
+    """The theta=1/2 slice on the compact section of the cone, by its payoff root tau.
+
+    The slice points (s, g(s), 1), s >= 2**(-p), scaled to largest p-th root
+    1, have roots (tau + 1/2, 1/2 - tau, 1) for tau <= 1/2 (face 3) and
+    (1, 2 tau - 1, 2 - 2 tau) beyond (face 1), and payoff tau**p.  tau = 0 is
+    the antipodal point (2**-p, 2**-p, 1), tau = 1/2 is s = 1 and tau = 1 is
+    the limit s -> oo, the point (1, 1, 0).  The derivatives f' = df/ds and
+    g' = dg/ds are degree 0, so they take their slice values here:
+    f' = (tau/r1)**(p-1), and g' = (r2/r1)**(p-1) with a minus sign below
+    tau = 1/2.  Returns (x, f, f', g') with x an (N, 3) array.
+    """
+    tau = np.asarray(tau, dtype=float)
+    low = tau <= 0.5
+    r1 = np.where(low, tau + 0.5, 1.0)
+    r2 = np.where(low, 0.5 - tau, 2.0 * tau - 1.0)
+    r3 = np.where(low, 1.0, 2.0 - 2.0 * tau)
+    x = np.stack([r1, r2, r3], axis=-1) ** p
+    f_prime = (tau / r1) ** (p - 1.0)
+    g_prime = np.where(low, -1.0, 1.0) * (r2 / r1) ** (p - 1.0)
+    return x, tau**p, f_prime, g_prime
+
+
+def section_parameter(s: float, p: float) -> float:
+    """The payoff root tau of the slice point (s, g(s), 1) on the compact section."""
+    u = s ** (1.0 / p)
+    return max(u - 0.5, 0.0) / max(u, 1.0)

@@ -10,8 +10,7 @@ by the tests.
 The s* route is solved once, for L = log(1 - delta), over the closed
 bracket [log1p(-eps^2/4), 0] that delta_p <= delta_2 gives, in a form free
 of cancellation; delta = -expm1(L) then keeps full relative accuracy as
-eps -> 0, and s* = (e^L/eps + 1/2)^p follows in closed form, up to its
-last ulps.
+eps -> 0, and s* = (e^L/eps + 1/2)^p follows in closed form.
 """
 
 from __future__ import annotations
@@ -104,26 +103,16 @@ def _log_u(p: float, eps: float) -> float:
 def solve_s_star(p: float, eps: float) -> SStar:
     """The root of 2 eps^(-p) = s + g(s) on [2**(-p), oo).
 
-    s* = ((1 - delta)/eps + 1/2)**p in closed form, with log(1 - delta) from
-    the root solve behind ``delta_via_s_star``; that is good to a few ulp of
-    s.  The certificate checks evaluate the s equation in float64 and need
-    it met to single ulps, so s* is the float within 16 ulp of the closed
-    form whose float residual is smallest.  Also usable at p = 2 for
-    cross-checks.
+    s* = ((1 - delta)/eps + 1/2)**p in closed form, clamped at 2**(-p), with
+    log(1 - delta) from the root solve behind ``delta_via_s_star``; that is
+    good to a few ulp of s.  Also usable at p = 2 for cross-checks.
     """
     p = check_exponent(p)
     eps = _check_eps(eps, allow_zero=False)
     if p > 2.0:
         raise WrongRegimeError(f"s* path applies for 1 < p <= 2, got p={p}")
-    target = 2.0 * eps ** (-p)
-
-    def residual(s: float) -> float:
-        return abs(s + boundary_profile(s, p).g - target)
-
-    s = (math.exp(_log_u(p, eps)) / eps + 0.5) ** p
-    near = (s + k * math.ulp(s) for k in range(-16, 17))
-    s = min((c for c in near if c >= slice_lower_bound(p)), key=residual)
-    return SStar(s, eps, p, residual(s))
+    s = max((math.exp(_log_u(p, eps)) / eps + 0.5) ** p, slice_lower_bound(p))
+    return SStar(s, eps, p, abs(s + boundary_profile(s, p).g - 2.0 * eps ** (-p)))
 
 
 def delta_via_s_star(p: float, eps: float) -> float:

@@ -55,8 +55,3 @@ GPRIME_4_P15 = 0.77662715443638083708
 # two-function inequality gap for f = 1, g = half-mass indicator, p = 3/2:
 # (2^1.5 + 1)/2 + 1/2 - (1 + 2^(-2/3))^1.5 - (1 - 2^(-2/3))^1.5
 HANNER_HALF_MASS_P15 = 0.10814623771508091581
-
-# slice majorization gap of the p = 3 certificate at s = 10^3 and 10^6;
-# exact rational arithmetic at integer cube roots
-U_P3_S1E3 = 7.0
-U_P3_S1E6 = 74.5

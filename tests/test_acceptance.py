@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from anchors import DELTA_P15_E1, S_STAR_P15_E1
+from helpers import slice_point
 from ucx.bellman import SearchBudget, StepFunction, brute_force_bellman, hanner_gap, witness_test
 from ucx.certificates import certificate_ge2, certificate_lt2, sharpness_check, verify_appendix
 from ucx.cli import main as cli_main
-from ucx.domain import LambdaPoint, boundary_profile, slice_lower_bound, slice_point
+from ucx.domain import LambdaPoint, boundary_profile, slice_lower_bound
 from ucx.envelope import concavify, sample_boundary
 from ucx.moduli import delta_closed_form, delta_implicit, delta_via_s_star, solve_s_star
 
@@ -70,7 +71,6 @@ def test_criterion_2_route_agreement_lt2():
 def test_criterion_3_appendix_verification():
     ge2_claims = {
         "majorant-slice-gap",
-        "majorant-slice-gap-tail",
         "w-nonneg",
         "w-concave",
         "w-endpoints",
@@ -78,7 +78,6 @@ def test_criterion_3_appendix_verification():
     }
     lt2_claims = {
         "majorant-slice-gap",
-        "majorant-slice-gap-tail",
         "denominator-positive",
         "slope-ratio-decreasing",
         "gap-derivative-sign",
@@ -106,17 +105,17 @@ def test_criterion_4_sharpness():
         mid = 0.5 * (sol.s_star + boundary_profile(sol.s_star, 1.5).g)
         assert abs(mid - 1.0) <= 1e-12  # (eps^-p, eps^-p, 1) sits on the chord
 
-        # p >= 2: the capped chord gap shrinks as the probe grows
-        near = sharpness_check(3.0, 1.0, s_probe=1e3, n_chord=1001)
-        far = sharpness_check(3.0, 1.0, s_probe=1e6, n_chord=1001)
-        assert near.passed and far.passed
-        assert far.worst_value < near.worst_value
+        # p >= 2: exact chord equality from the antipodal point to (1, 1, 0)
+        for p in [2.0, 3.0, 8.0]:
+            rep = sharpness_check(p, n_chord=1001)
+            assert rep.passed and rep.worst_value <= 1e-10
 
         # both certificates touch their anchor points
         ge2 = certificate_ge2(3.0)
         assert abs(ge2.value(LambdaPoint(1.0, 1.0, 2.0**3))) <= 1e-10
         smin = slice_lower_bound(3.0)
         assert abs(ge2.value(LambdaPoint(smin, smin, 1.0))) <= 1e-10
+        assert abs(ge2.value(LambdaPoint(1.0, 1.0, 0.0)) - 1.0) <= 1e-10
         lt2 = certificate_lt2(1.5, 1.0)
         level = boundary_profile(lt2.s_star, 1.5).f
         assert abs(lt2.value(slice_point(lt2.s_star, 1.5)) - level) <= 1e-10

@@ -1,19 +1,40 @@
+import math
+import random
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
-from anchors import KAPPA_P15_E1, PAYOFF_P15_E1, U_P3_S1E3, U_P3_S1E6
+from anchors import KAPPA_P15_E1, PAYOFF_P15_E1
+from helpers import delta_mpmath, slice_point
 from ucx.certificates import (
     certificate_ge2,
     certificate_lt2,
-    majorization_gap,
     monotonicity_witness,
     sharpness_check,
     verify_appendix,
 )
-from ucx.domain import LambdaPoint, slice_lower_bound, slice_point
+from ucx.domain import LambdaPoint, section_parameter, section_profile
 from ucx.errors import DomainError, OutOfRangeError, WrongRegimeError
+
+
+def section_gap(cert, tau):
+    """Certificate minus boundary payoff at section points, as ``verify_appendix`` scans it."""
+    x, f, _, _ = section_profile(tau, cert.p)
+    return cert.value(x) - f
+
+
+def lt2_coefficients_mpmath(p, eps):
+    """(k, c3) of the p < 2 certificate at 50 digits, by its defining formulas at s*."""
+    d = delta_mpmath(p, eps)
+    with mpmath.workdps(50):
+        p, eps, half = mpmath.mpf(p), mpmath.mpf(eps), mpmath.mpf(1) / 2
+        u = (1 - d) / eps + half  # s*^(1/p)
+        f_prime = ((u - half) / u) ** (p - 1)
+        g_prime = -mpmath.sign(1 - u) * (abs(1 - u) / u) ** (p - 1)
+        k = f_prime / (1 + g_prime)
+        return k, (u - half) ** p - 2 * eps ** (-p) * k
 
 
 class TestCertificateGe2:
@@ -35,9 +56,10 @@ class TestCertificateGe2:
 
 class TestCertificateLt2:
     def test_degenerate_eps_two(self):
-        cert = certificate_lt2(1.5, 2.0)
-        assert cert.c == (0.0, 0.0, 0.0)
-        assert cert.value(LambdaPoint(1.0, 1.0, 2.0**1.5)) == 0.0
+        # k = f'/(1 + g') grows without bound as eps -> 2: no affine certificate there
+        assert certificate_lt2(1.5, 2.0 - 1e-6).c[0] > 26.0
+        with pytest.raises(DomainError):
+            certificate_lt2(1.5, 2.0)
 
     def test_anchor_values(self):
         cert = certificate_lt2(1.5, 1.0)
@@ -53,37 +75,49 @@ class TestCertificateLt2:
         with pytest.raises(DomainError):
             certificate_lt2(1.5, 0.0)
 
+    @pytest.mark.parametrize("p, eps, c3", [(1.99, 1e-8, -0.205862), (1.3, 1e-8, -1.884e-7)])
+    def test_small_eps_c3(self, p, eps, c3):
+        # f(s*) - 2 eps^-p k subtracts two numbers of size s* ~ 2e16 here
+        assert certificate_lt2(p, eps).c[2] == pytest.approx(c3, rel=1e-4)
+
+    def test_coefficients_match_mpmath(self):
+        rng = random.Random(20140219)
+        points = [(1.99, 1e-8), (1.3, 1e-8), (1.5, 1.0)]
+        for _ in range(60):
+            eps = math.exp(rng.uniform(math.log(1e-8), math.log(1.2)))  # s* > 1
+            points.append((rng.uniform(1.01, 1.99), eps))
+        for p, eps in points:
+            cert = certificate_lt2(p, eps)
+            k, c3 = lt2_coefficients_mpmath(p, eps)
+            with mpmath.workdps(50):
+                assert abs(cert.c[0] - k) <= 1e-12 * abs(k), (p, eps)
+                assert abs(cert.c[2] - c3) <= 1e-12 * abs(c3), (p, eps)
+
 
 class TestMajorizationGap:
+    TAU = np.linspace(0.0, 1.0, 801)
+
     def test_ge2_left_endpoint(self):
-        cert = certificate_ge2(3.0)
-        assert majorization_gap(slice_lower_bound(3.0), cert) == pytest.approx(0.0, abs=1e-12)
+        # the certificate touches the payoff at the antipodal point and at (1, 1, 0)
+        gap = section_gap(certificate_ge2(3.0), np.array([0.0, 1.0]))
+        assert np.abs(gap).max() <= 1e-15
 
     def test_lt2_vanishes_at_s_star(self):
-        cert = certificate_lt2(1.5, 1.0)
-        assert majorization_gap(cert.s_star, cert) == pytest.approx(0.0, abs=1e-10)
+        for p, eps in [(1.5, 1.0), (1.5, 1e-8), (1.99, 1e-8), (1.2, 1.9)]:
+            cert = certificate_lt2(p, eps)
+            tau_star = section_parameter(cert.s_star, p)
+            assert section_gap(cert, tau_star) == pytest.approx(0.0, abs=1e-14)
 
     def test_p2_identically_zero(self):
-        cert = certificate_ge2(2.0)
-        for s in np.linspace(0.25, 60.0, 101):
-            assert majorization_gap(float(s), cert) == pytest.approx(0.0, abs=1e-12)
-
-    def test_frozen_values_p3(self):
-        cert = certificate_ge2(3.0)
-        assert majorization_gap(1e3, cert) == pytest.approx(U_P3_S1E3, abs=1e-9)
-        assert majorization_gap(1e6, cert) == pytest.approx(U_P3_S1E6, abs=1e-6)
+        assert np.abs(section_gap(certificate_ge2(2.0), self.TAU)).max() <= 1e-15
 
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 5.0])
     def test_ge2_nonnegative_on_slice(self, p):
-        cert = certificate_ge2(p)
-        grid = np.linspace(slice_lower_bound(p), 80.0, 400)
-        assert min(majorization_gap(float(s), cert) for s in grid) >= -1e-12
+        assert section_gap(certificate_ge2(p), self.TAU).min() >= -1e-15
 
     @pytest.mark.parametrize("p,eps", [(1.2, 0.5), (1.5, 1.0), (1.8, 1.5)])
     def test_lt2_nonnegative_on_slice(self, p, eps):
-        cert = certificate_lt2(p, eps)
-        grid = np.linspace(slice_lower_bound(p), 80.0, 400)
-        assert min(majorization_gap(float(s), cert) for s in grid) >= -1e-12
+        assert section_gap(certificate_lt2(p, eps), self.TAU).min() >= -1e-15
 
 
 class TestMonotonicityWitness:
@@ -127,7 +161,6 @@ class TestVerifyAppendix:
         claims = {r.claim for r in reports}
         assert claims == {
             "majorant-slice-gap",
-            "majorant-slice-gap-tail",
             "w-nonneg",
             "w-concave",
             "w-endpoints",
@@ -140,7 +173,6 @@ class TestVerifyAppendix:
         claims = {r.claim for r in reports}
         assert claims == {
             "majorant-slice-gap",
-            "majorant-slice-gap-tail",
             "denominator-positive",
             "slope-ratio-decreasing",
             "gap-derivative-sign",
@@ -150,6 +182,11 @@ class TestVerifyAppendix:
     def test_eps_required_below_two(self):
         with pytest.raises(DomainError):
             verify_appendix(1.5)
+
+    def test_section_scan_reports_tau(self):
+        # 2 grid_n - 1 payoff roots tau in [0, 1], one fewer for the claims past tau = 0
+        for r in verify_appendix(1.5, 1e-6, grid_n=101):
+            assert r.grid in (200, 201) and 0.0 <= r.worst_arg <= 1.0 and r.passed, r.line()
 
     def test_hand_value_of_slope_claim(self):
         # at s = 1, p = 3/2: f*(1+g') - f'*(s+g) = (1/2)^1.5 - (1/2)^0.5 < 0
@@ -175,25 +212,21 @@ class TestSharpness:
     @pytest.mark.parametrize("p", [1.2, 1.5])
     @pytest.mark.parametrize("eps", [1e-2, 3e-3, 1e-3])
     def test_lt2_chord_equality_small_eps(self, p, eps):
-        # s* is near 2 eps^-p here, and the midpoint identity is checked to
-        # 1e-12 absolute: s* must solve its equation to the last ulp
+        # s* is near 2 eps^-p here; its equation is checked to 1e-12 relative
         assert sharpness_check(p, eps, n_chord=101).passed
 
-    def test_ge2_gap_shrinks_with_probe(self):
-        near = sharpness_check(3.0, 1.0, s_probe=1e3)
-        far = sharpness_check(3.0, 1.0, s_probe=1e6)
-        assert near.passed and far.passed
-        assert far.worst_value < near.worst_value
+    def test_ge2_chord_equality(self):
+        # the chord (2^-p, 2^-p, 1) -> (1, 1, 0) carries payoffs 0 -> 1, as the certificate does
+        for p in [2.5, 3.0, 4.0, 8.0, 30.0]:
+            rep = sharpness_check(p, n_chord=1001)
+            assert rep.claim == "chord-equality" and rep.passed
+            assert rep.worst_value <= 1e-10
 
     def test_p2_equality_case(self):
-        rep = sharpness_check(2.0, 1.0, s_probe=1e3)
+        rep = sharpness_check(2.0, 1.0)
         assert rep.passed
         assert rep.worst_value <= 1e-10
 
-    def test_chord_gap_matches_slice_gap_prediction(self):
-        # the gap grows affinely along the chord, so its max sits at the cap
-        p, eps, s_probe = 3.0, 1.0, 1e3
-        rep = sharpness_check(p, eps, s_probe=s_probe)
-        smin = slice_lower_bound(p)
-        t_cap = (eps ** (-p) - smin) / (s_probe - smin)
-        assert rep.worst_value == pytest.approx(t_cap * U_P3_S1E3, rel=1e-6)
+    def test_lt2_requires_eps(self):
+        with pytest.raises(DomainError):
+            sharpness_check(1.5)

@@ -1,7 +1,10 @@
 import io
 import json
+import math
 import os
+import random
 import re
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -102,7 +105,7 @@ class TestVerify:
         assert code == 0
         lines = out.strip().splitlines()
         assert all(" pass=true " in line for line in lines)
-        assert any(line.startswith("claim=chord-gap-shrinks") for line in lines)
+        assert sum(line.startswith("claim=chord-equality") for line in lines) == 1
 
     def test_lt2_passes_with_witness(self):
         code, out, _ = run_cli(
@@ -116,6 +119,34 @@ class TestVerify:
         assert code == 2
         assert "epsilon required for p<2" in err
         assert out == ""
+
+    def test_small_eps_grid_passes(self):
+        # every claim is scanned on the compact section, where it is O(1) at any eps
+        rng = random.Random(20141104)
+        points = [(1.99, 1e-8), (1.3, 1e-8), (1.01, 1e-8), (1.99, 1.99), (2.0, 1e-6), (30.0, 1e-6)]
+        points += [(rng.uniform(1.01, 1.99), math.exp(rng.uniform(math.log(1e-8), math.log(1.99))))
+                   for _ in range(24)]
+        points += [(rng.uniform(2.0, 30.0), math.exp(rng.uniform(math.log(1e-6), math.log(2.0))))
+                   for _ in range(8)]
+        t0 = time.perf_counter()
+        for p, eps in points:
+            code, out, err = run_cli(["verify", "--p", repr(p), "--eps", repr(eps),
+                                      "--grid-n", "201", "--n-chord", "101"])
+            failed = [line for line in out.splitlines() if "pass=false" in line]
+            assert code == 0, (p, eps, failed, err)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("command", ["verify", "envelope"])
+    def test_eps_two_below_p2_exit_2(self, command):
+        # no affine certificate exists at eps = 2 for p < 2
+        code, out, err = run_cli([command, "--p", "1.5", "--eps", "2", "--grid-n", "3"])
+        assert code == 2 and out == ""
+        assert err.startswith("ucx: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--s-max=100", "--s-probe=1000"])
+    def test_slice_cutoff_flags_removed(self, flag):
+        with redirect_stderr(io.StringIO()):
+            assert main(["verify", "--p", "3", flag]) == 2
 
     def test_line_format(self):
         _, out, _ = run_cli(["verify", "--p", "2.5", "--grid-n", "501"])
@@ -285,7 +316,6 @@ def _argv(draw):
         argv += draw(_opt("eps", _number()))
         argv += [f"--grid-n={draw(_ints(-1, 11))}", f"--n-chord={draw(_ints(-1, 11))}",
                  f"--trials={draw(_ints(-1, 50))}"]
-        argv += draw(_opt("s-max", _number())) + draw(_opt("s-probe", _number()))
         argv += draw(_opt("seed", _ints(-2, 2**64)))
     elif command == "envelope":
         argv += draw(_opt("eps", _number()))

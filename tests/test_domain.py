@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anchors import FPRIME_4_P15, FPRIME_4_P2, GPRIME_4_P15, GPRIME_4_P2
-from helpers import NotOnBoundaryError, boundary_value, central_diff
+from helpers import NotOnBoundaryError, boundary_value, central_diff, slice_point
 from ucx.domain import (
     BoundaryFace,
     LambdaPoint,
@@ -10,8 +10,9 @@ from ucx.domain import (
     contains,
     face_value,
     profile_arrays,
+    section_parameter,
+    section_profile,
     slice_lower_bound,
-    slice_point,
 )
 from ucx.errors import (
     DomainError,
@@ -204,3 +205,42 @@ class TestSlicePoint:
         for s in np.concatenate([np.linspace(smin, 2.0, 23), np.geomspace(2.0, 1e5, 17)]):
             assert contains(slice_point(float(s), p), p).on_boundary
             assert contains(slice_point(float(s), p, swapped=True), p).on_boundary
+
+
+class TestSectionProfile:
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_anchor_points(self, p):
+        x, f, fp, gp = section_profile(np.array([0.0, 0.5, 1.0]), p)
+        anchors = [[2.0**-p, 2.0**-p, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        assert np.allclose(x, anchors, rtol=0, atol=1e-15)
+        assert f[0] == 0.0 and f[1] == pytest.approx(0.5**p, rel=1e-15) and f[2] == 1.0
+        assert fp[1] == pytest.approx(0.5 ** (p - 1.0), rel=1e-15) and fp[2] == 1.0
+        assert 1.0 + gp[0] == 0.0 and gp[2] == 1.0
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_scaled_slice_with_same_data(self, p):
+        # every section point below tau = 1 is the slice point (s, g(s), 1) at
+        # s = x1/x3 scaled by x3; f scales with it, f' and g' do not
+        tau = np.linspace(0.0, 1.0, 41)[:-1]
+        x, f, fp, gp = section_profile(tau, p)
+        s = x[:, 0] / x[:, 2]
+        f_s, g_s, fp_s, gp_s = profile_arrays(s, p)
+        assert np.allclose(x[:, 1] / x[:, 2], g_s, rtol=1e-12, atol=1e-15)
+        assert np.allclose(f / x[:, 2], f_s, rtol=1e-12, atol=1e-15)
+        assert np.allclose(fp, fp_s, rtol=1e-12, atol=1e-15)
+        assert np.allclose(gp, gp_s, rtol=1e-12, atol=1e-15)
+        for si, ti in zip(s, tau):
+            assert section_parameter(float(si), p) == pytest.approx(ti, abs=1e-12)
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_on_boundary_with_payoff(self, p):
+        x, f, _, _ = section_profile(np.linspace(0.0, 1.0, 33), p)
+        for xi, fi in zip(x, f):
+            assert boundary_value(LambdaPoint(*xi), p) == pytest.approx(fi, abs=1e-12)
+
+    def test_far_slice_stays_on_section(self):
+        # s = 1e30 is far beyond any x3 = 1 grid; on the section it sits next to tau = 1
+        tau = section_parameter(1e30, 1.5)
+        assert 1.0 - tau == pytest.approx(0.5e-20, rel=1e-12)
+        x, _, _, _ = section_profile(tau, 1.5)
+        assert x[0] == 1.0 and x[2] <= 1e-29

@@ -15,6 +15,7 @@ from anchors import (
     DELTA_TINY_CORNERS,
     S_STAR_P15_E1,
 )
+from helpers import delta_mpmath
 from ucx.errors import DomainError, WrongRegimeError
 from ucx.moduli import (
     delta,
@@ -152,20 +153,6 @@ class TestInvariants:
         assert abs(resid) < 1e-9
 
 
-def _delta_mpmath(p, eps):
-    """delta_p(eps) at 50 digits: bisection of (1-d+e/2)^p + |1-d-e/2|^p = 2 in d."""
-    with mpmath.workdps(50):
-        p, a = mpmath.mpf(p), mpmath.mpf(eps) / 2
-        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-        for _ in range(140):  # width 2^-140, far below any root's last digit
-            mid = (lo + hi) / 2
-            if (1 - mid + a) ** p + abs(1 - mid - a) ** p > 2:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
-
-
 def _relative_error(value, ref):
     with mpmath.workdps(50):
         return float(abs(mpmath.mpf(value) - ref) / ref)
@@ -190,5 +177,5 @@ class TestAccuracyContract:
             # 1 - delta = eps/2 at eps = 2^(1/p), where the two powers trade places
             p = rng.uniform(1.01, 2.0)
             points += [(p, 2.0 ** (1.0 / p) * (1.0 + k)) for k in (0.0, 1e-12, -1e-9)]
-        worst = max((_relative_error(delta(p, eps), _delta_mpmath(p, eps)), p, eps) for p, eps in points)
+        worst = max((_relative_error(delta(p, eps), delta_mpmath(p, eps)), p, eps) for p, eps in points)
         assert worst[0] <= 1e-12, worst
