@@ -12,6 +12,7 @@ from .bellman import (
     SearchBudget,
     StepFunction,
     StepPair,
+    brute_force_batch,
     brute_force_bellman,
     format_witness,
     hanner_gap,
@@ -57,6 +58,7 @@ __all__ = [
     "VerificationReport",
     "bisect_root",
     "boundary_profile",
+    "brute_force_batch",
     "brute_force_bellman",
     "certificate_ge2",
     "certificate_lt2",

@@ -3,8 +3,10 @@
 A step pair is a weighted list of atoms (a_j, f_j, g_j) standing for a
 piecewise-constant pair on a unit-mass interval; its averaged moments land
 in the cone and its payoff is a lower bound on the value function there.
-``brute_force_bellman`` searches three atoms' values and solves for their
-weights exactly, so its payoff is such a lower bound up to float rounding.
+``brute_force_batch`` searches three atoms' values and solves for their
+weights exactly, for a batch of query points at once, so each payoff is
+such a lower bound up to float rounding; ``brute_force_bellman`` is its
+one-point call.
 ``hanner_gap`` and ``witness_test`` check the classical two-function
 inequality and the midpoint-contraction definition of the modulus against
 the computed sharp constant.
@@ -34,6 +36,9 @@ WITNESS_ATOMS = 4
 MOMENT_RTOL = 64 * 2.0**-53
 #: pattern-search step floor, for atom values of a query scaled to max(x) = 1
 STEP_FLOOR = 1e-12
+#: rows (queries x restarts) one pattern search holds at most; larger batches
+#: run in chunks of whole queries, so memory stays bounded
+BATCH_ROWS = 4096
 #: a length-3 axis extended cyclically, so components i+1 and i+2 are slices
 _CYCLE = [0, 1, 2, 0, 1]
 
@@ -103,11 +108,13 @@ def payoff(pair: StepPair, p: float, theta: float = 0.5) -> float:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Restarts and pattern-search steps of ``brute_force_bellman``, and its seed.
+    """Restarts and pattern-search steps of the step-pair search, and its seed.
 
-    Restart streams derive from PCG64 seeded with (seed, restart index), so
-    identical budgets reproduce bit-for-bit and results do not depend on
-    evaluation order.
+    Restart i starts from values drawn from PCG64 seeded with (seed, i), the
+    same for every query, so identical budgets reproduce bit-for-bit.  A
+    batch of queries is searched as one (queries x restarts) array in which
+    each query stops on its own, so each result equals that of a search of
+    its query alone.
     """
 
     restarts: int = 64
@@ -137,23 +144,25 @@ def _atom_terms(f, g, p, theta):
     return v, np.abs(theta * f + (1.0 - theta) * g) ** p
 
 
-def _solve_weights(vj, wj, vk, wk, vl, wl, x, tol):
+def _solve_weights(vj, wj, vk, wk, vl, wl, x, xq, tol):
     """Weights (a_j, a_k, a_l) with a_j v_j + a_k v_k + a_l v_l = x, and their scores.
 
-    Cramer's rule: the determinant and the numerators of a_k and a_l are dot
-    products of the moved atom's v_j with v_k x v_l, x x v_l and v_k x x, so
-    the trials for atom j share these cross products.  A trial with a >= 0
-    and moments within ``tol`` of x scores its payoff, the exact optimum of
-    the inner LP for those atom values; any other scores -1 minus its share
-    of negative weight, below every payoff, so a restart climbs into
-    feasibility first.
+    Rows run over (query, restart), query-major; ``x`` holds each row's
+    query and ``xq`` each query once.  Cramer's rule: the determinant and
+    the numerators of a_k and a_l are dot products of the moved atom's v_j
+    with v_k x v_l, x x v_l and v_k x x, so the trials for atom j share
+    these cross products.  A trial with a >= 0 and moments within ``tol``
+    of x scores its payoff, the exact optimum of the inner LP for those atom
+    values; any other scores -1 minus its share of negative weight, below
+    every payoff, so a restart climbs into feasibility first.
     """
-    xs = np.broadcast_to(x, vk.shape)
-    left, right = np.stack([vk, xs, vk])[..., _CYCLE], np.stack([vl, vl, xs])[..., _CYCLE]
+    left, right = np.stack([vk, x, vk])[..., _CYCLE], np.stack([vl, vl, x])[..., _CYCLE]
     cross = left[..., 1:4] * right[..., 2:5] - left[..., 2:5] * right[..., 1:4]
     num = (vj[..., None, :] @ cross.transpose(1, 2, 0))[..., 0, :]
     det = num[..., 0].copy()
-    num[..., 0] = cross[0] @ x
+    # one matrix-vector product per query: a per-row dot product would round
+    # differently from a search of that query alone
+    num[..., 0] = (cross[0].reshape(len(xq), -1, 3) @ xq[:, :, None]).reshape(-1)
     a = num / det[..., None]
     m = a[..., :1] * vj + a[..., 1:2] * vk + a[..., 2:] * vl
     feasible = (a >= 0.0).all(axis=-1) & (np.abs(m - x) <= tol).all(axis=-1)
@@ -161,21 +170,27 @@ def _solve_weights(vj, wj, vk, wk, vl, wl, x, tol):
     return a, np.where(feasible, a[..., 0] * wj + a[..., 1] * wk + a[..., 2] * wl, -1.0 - neg)
 
 
-def _pattern_search(vals, x, p, theta, steps):
-    """Cyclic pattern search over the values (f_0..f_2, g_0..g_2) of each restart.
+def _pattern_search(vals, xq, p, theta, steps):
+    """Cyclic pattern search over the values (f_0..f_2, g_0..g_2) of each row.
 
-    ``x`` has largest coordinate 1.  Each step moves one value by + and -
-    its step size in one batch and keeps the better trial if it raises the
-    score; steps start at 1/2, grow by 1.6 on success and halve otherwise,
-    down to ``STEP_FLOOR``, where the search ends early.  ``vals`` is
-    updated in place; returns the weights of each restart's last accepted
-    move and its score.
+    Rows run over (query, restart), query-major; each query in ``xq`` has
+    largest coordinate 1.  Each step moves one value of every row by + and
+    - its step size in one batch and keeps the better trial if it raises
+    the score; steps start at 1/2, grow by 1.6 on success and halve
+    otherwise, down to ``STEP_FLOOR``.  A query whose steps are all at the
+    floor at the end of a cycle stops there and its rows leave the batch.
+    Returns each row's final values, the weights of its last accepted move
+    and its score.
     """
-    v, w = _atom_terms(vals[:, :ATOM_COUNT], vals[:, ATOM_COUNT:], p, theta)
+    restarts = len(vals) // len(xq)
+    out_vals, out_a, out_score = np.empty_like(vals), np.empty((len(vals), ATOM_COUNT)), np.empty(len(vals))
+    rows = np.arange(len(vals))
+    x = np.repeat(xq, restarts, axis=0)
     # the payoff is at most theta x1 + (1 - theta) x2 by convexity, so each
     # moment is checked relative to itself or to max(x1, x2), the larger
-    tol = MOMENT_RTOL * np.maximum(x, x[:2].max())
-    a, score = _solve_weights(v[:, 0], w[:, 0], v[:, 1], w[:, 1], v[:, 2], w[:, 2], x, tol)
+    tol = MOMENT_RTOL * np.maximum(x, x[:, :2].max(axis=1, keepdims=True))
+    v, w = _atom_terms(vals[:, :ATOM_COUNT], vals[:, ATOM_COUNT:], p, theta)
+    a, score = _solve_weights(v[:, 0], w[:, 0], v[:, 1], w[:, 1], v[:, 2], w[:, 2], x, xq, tol)
     h = np.full(vals.shape, 0.5)
     for it in range(steps):
         c = it % vals.shape[1]
@@ -184,7 +199,7 @@ def _pattern_search(vals, x, p, theta, steps):
         trial = vals[:, c] + np.array([[1.0], [-1.0]]) * h[:, c]
         fj, gj = (trial, vals[:, j + ATOM_COUNT]) if c < ATOM_COUNT else (vals[:, j], trial)
         vj, wj = _atom_terms(fj, gj, p, theta)
-        at, st = _solve_weights(vj, wj, v[:, k], w[:, k], v[:, l], w[:, l], x, tol)
+        at, st = _solve_weights(vj, wj, v[:, k], w[:, k], v[:, l], w[:, l], x, xq, tol)
         pick, best = st.argmax(axis=0), st.max(axis=0)
         improved = best > score
         sel = improved.nonzero()[0]
@@ -192,9 +207,63 @@ def _pattern_search(vals, x, p, theta, steps):
         vals[sel, c], v[sel, j], w[sel, j] = trial[ps, sel], vj[ps, sel], wj[ps, sel]
         a[sel[:, None], [j, k, l]], score[sel] = at[ps, sel], best[sel]
         h[:, c] = np.maximum(h[:, c] * np.where(improved, 1.6, 0.5), STEP_FLOOR)
-        if c == vals.shape[1] - 1 and (h <= STEP_FLOOR).all():
-            break
-    return a, score
+        if c == vals.shape[1] - 1:
+            stop = (h <= STEP_FLOOR).reshape(len(xq), -1).all(axis=1)
+            if stop.any():
+                done, xq = np.repeat(stop, restarts), xq[~stop]
+                out_vals[rows[done]], out_a[rows[done]] = vals[done], a[done]
+                out_score[rows[done]] = score[done]
+                rows, vals, v, w, a, score, h, x, tol = (
+                    arr[~done] for arr in (rows, vals, v, w, a, score, h, x, tol))
+                if not len(xq):
+                    break
+    out_vals[rows], out_a[rows], out_score[rows] = vals, a, score
+    return out_vals, out_a, out_score
+
+
+def brute_force_batch(
+    points: list[LambdaPoint],
+    p: float,
+    theta: float = 0.5,
+    budget: SearchBudget | None = None,
+) -> list[BruteForceResult]:
+    """Maximize the payoff over 3-atom step pairs whose moments equal each point.
+
+    On a face of the cone (as ``contains`` classifies it) the only pairs
+    are collinear, and the one-atom collinear pair is returned with no
+    search.  Interior points are searched together, each at x / max(x) by
+    degree-1 homogeneity, in chunks of at most ``BATCH_ROWS`` rows (whole
+    queries, one row per restart).  Each restart draws atom values that mix
+    independent, collinear, antipodal and mirror-image pairs (queries with
+    symmetric moments have swap-symmetric extremizers, so mirrored pairs
+    need to be reachable); the pattern search moves the values only, and
+    the weights come from an exact 3x3 solve, checked for sign and for
+    moments within ``MOMENT_RTOL``.  ``residual`` is the distance of the
+    witness's moments m from x; its payoff is at most V(m), so it exceeds
+    the value V(x) by at most the gradient of V times m - x.  The first
+    point in input order that lies outside the cone raises
+    ``InfeasibleStartError``, and the first interior point no restart
+    reaches a feasible pair for raises ``NoFeasiblePairError``.
+    """
+    p = check_exponent(p)
+    theta = check_theta(theta)
+    budget = budget if budget is not None else SearchBudget()
+    targets = [x.as_array() for x in points]
+    faces = [contains(x, p) for x in points]
+    outside = next((i for i, face in enumerate(faces) if face is BoundaryFace.OUTSIDE), len(points))
+    interior = [i for i in range(outside) if faces[i] is BoundaryFace.INTERIOR]
+    atoms = dict(zip(interior, _search([targets[i] for i in interior], p, theta, budget)))
+    if outside < len(points):
+        raise InfeasibleStartError(f"{points[outside]} lies outside the cone")
+    results = []
+    for i, (target, face) in enumerate(zip(targets, faces)):
+        if face.on_boundary:
+            u1, u2, _ = (float(u) for u in target ** (1.0 / p))
+            atoms[i] = ((1.0, u1, -u2 if face is BoundaryFace.FACE3 else u2),)
+        witness = StepPair(atoms[i])
+        residual = math.hypot(*(moment(witness, p).as_array() - target))
+        results.append(BruteForceResult(payoff(witness, p, theta), witness, residual))
+    return results
 
 
 def brute_force_bellman(
@@ -203,41 +272,12 @@ def brute_force_bellman(
     theta: float = 0.5,
     budget: SearchBudget | None = None,
 ) -> BruteForceResult:
-    """Maximize the payoff over 3-atom step pairs whose moments equal ``x``.
-
-    On a face of the cone (as ``contains`` classifies it) the only pairs
-    are collinear, and the one-atom collinear pair is returned with no
-    search.  Inside, the search runs at x / max(x) by degree-1 homogeneity.
-    Each restart draws atom values that mix independent, collinear,
-    antipodal and mirror-image pairs (queries with symmetric moments have
-    swap-symmetric extremizers, so mirrored pairs need to be reachable);
-    the pattern search moves the values only, and the weights come from an
-    exact 3x3 solve, checked for sign and for moments within
-    ``MOMENT_RTOL``.  ``residual`` is the distance of the witness's moments
-    m from x; its payoff is at most V(m), so it exceeds the value V(x) by at
-    most the gradient of V times m - x.  Raises ``NoFeasiblePairError`` when
-    no restart reaches a feasible pair.
-    """
-    p = check_exponent(p)
-    theta = check_theta(theta)
-    budget = budget if budget is not None else SearchBudget()
-    face = contains(x, p)
-    if face is BoundaryFace.OUTSIDE:
-        raise InfeasibleStartError(f"{x} lies outside the cone")
-    target = x.as_array()
-    if face.on_boundary:
-        u1, u2, _ = (float(u) for u in target ** (1.0 / p))
-        atoms = ((1.0, u1, -u2 if face is BoundaryFace.FACE3 else u2),)
-    else:
-        atoms = _search(target, p, theta, budget)
-    witness = StepPair(atoms)
-    residual = math.hypot(*(moment(witness, p).as_array() - target))
-    return BruteForceResult(payoff(witness, p, theta), witness, residual)
+    """``brute_force_batch`` at the single point ``x``."""
+    return brute_force_batch([x], p, theta, budget)[0]
 
 
-def _search(target, p, theta, budget):
-    """Atoms of the best feasible pair found for an interior query."""
-    scale = target.max()
+def _start_values(budget):
+    """One row of atom values (f_0..f_2, g_0..g_2) per restart, from its own stream."""
     vals = np.empty((budget.restarts, 2 * ATOM_COUNT))
     f, g = vals[:, :ATOM_COUNT], vals[:, ATOM_COUNT:]
     for i in range(budget.restarts):
@@ -252,18 +292,41 @@ def _search(target, p, theta, budget):
         g[i] = np.where(style <= 1, indep, np.where(style == 2, shift, -f[i]))
         if rng.random() < 0.5:  # mirror a pair of atoms: (f,g) and (g,f)
             f[i, 1], g[i, 1] = g[i, 0], f[i, 0]
-    with np.errstate(all="ignore"):  # overflow and singular solves score as infeasible
-        a, score = _pattern_search(vals, target / scale, p, theta, budget.local_steps)
+    return vals
+
+
+def _search(targets, p, theta, budget):
+    """Atoms of the best feasible pair found for each interior query, in order."""
+    if not targets:
+        return []
+    starts = _start_values(budget)
+    chunk = max(1, BATCH_ROWS // budget.restarts)
+    found = []
+    for lo in range(0, len(targets), chunk):
+        part = np.array(targets[lo:lo + chunk])
+        xq, vals = part / part.max(axis=1, keepdims=True), np.tile(starts, (len(part), 1))
+        with np.errstate(all="ignore"):  # overflow and singular solves score as infeasible
+            vals, a, score = _pattern_search(vals, xq, p, theta, budget.local_steps)
+        shape = (len(part), budget.restarts)
+        for q in zip(part, vals.reshape(shape + (-1,)), a.reshape(shape + (-1,)), score.reshape(shape)):
+            found.append(_witness_atoms(*q, p, theta, budget))
+    return found
+
+
+def _witness_atoms(target, vals, a, score, p, theta, budget):
+    """Unit-mass atoms of the best of one query's restarts, scaled back to ``target``."""
+    scale = target.max()
     best = int(np.argmax(score))
     if not score[best] >= 0.0:
         raise NoFeasiblePairError(f"no restart reached a step pair with moments {target.tolist()}"
                                   f" in {budget.local_steps} steps; raise the restarts or steps")
+    f, g = vals[best, :ATOM_COUNT], vals[best, ATOM_COUNT:]
     # scale each atom to largest moment 1 (its weight takes the factor), then
     # the pair to unit mass and x: no witness moment then exceeds 3 max(x)
-    top = _atom_terms(f[best], g[best], p, theta)[0].max(axis=1)
+    top = _atom_terms(f, g, p, theta)[0].max(axis=1)
     w = a[best] * top
     c = (scale * w.sum() / top) ** (1.0 / p)
-    return tuple(zip((w / w.sum()).tolist(), (f[best] * c).tolist(), (g[best] * c).tolist()))
+    return tuple(zip((w / w.sum()).tolist(), (f * c).tolist(), (g * c).tolist()))
 
 
 def format_witness(x: LambdaPoint, p: float, theta: float, result: BruteForceResult) -> str:

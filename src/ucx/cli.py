@@ -154,15 +154,13 @@ def cmd_envelope(args) -> int:
         raise UsageError(f"grid-n must be at least 2, got {args.grid_n}")
     grid = envelope.sample_boundary(p, 0.5, args.n_per_face)
     budget = bellman.SearchBudget(args.restarts, args.local_steps, args.seed)
-    rows = []
-    for i in range(args.grid_n):
-        point = LambdaPoint(1.0, 1.0, i * (2.0**p) / (args.grid_n - 1))
-        rows.append({
-            "x3": point.x3,
-            "envelope": envelope.concavify(grid, point).result,
-            "certificate": cert.value(point),
-            "brute_force": bellman.brute_force_bellman(point, p, 0.5, budget).value,
-        })
+    points = [LambdaPoint(1.0, 1.0, i * (2.0**p) / (args.grid_n - 1)) for i in range(args.grid_n)]
+    rows = [
+        {"x3": point.x3, "envelope": envelope.concavify(grid, point).result, "certificate": cert.value(point)}
+        for point in points
+    ]
+    for row, found in zip(rows, bellman.brute_force_batch(points, p, 0.5, budget)):
+        row["brute_force"] = found.value
     violations = [
         r for r in rows
         if not (r["brute_force"] - args.sandwich_tol <= r["envelope"] <= r["certificate"] + 1e-9)

@@ -192,8 +192,7 @@ def test_criterion_8_determinism():
     commands = [
         # criterion-5 configurations driven through the CLI
         ["envelope", "--p", "4", "--grid-n", "25", "--n-per-face", "60",
-         "--radius", "128", "--restarts", "32", "--local-steps", "600",
-         "--seed", "7", "--sandwich-tol", "0.05"],
+         "--restarts", "32", "--local-steps", "600", "--seed", "7", "--sandwich-tol", "0.05"],
         ["envelope", "--p", "1.5", "--eps", "1", "--grid-n", "5", "--n-per-face", "60",
          "--restarts", "32", "--local-steps", "600", "--seed", "7",
          "--sandwich-tol", "0.05"],

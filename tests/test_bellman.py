@@ -3,11 +3,13 @@ import pytest
 
 from anchors import HANNER_HALF_MASS_P15
 from helpers import boundary_value
+from ucx import bellman
 from ucx.bellman import (
     MOMENT_RTOL,
     SearchBudget,
     StepFunction,
     StepPair,
+    brute_force_batch,
     brute_force_bellman,
     format_witness,
     hanner_gap,
@@ -16,6 +18,7 @@ from ucx.bellman import (
     witness_test,
 )
 from ucx.certificates import certificate_ge2, certificate_lt2
+from ucx.cli import main as cli_main
 from ucx.domain import BoundaryFace, LambdaPoint, contains
 from ucx.errors import DomainError, InfeasibleStartError, NoFeasiblePairError, PartitionMismatchError
 
@@ -273,6 +276,105 @@ class TestBruteForce:
         assert lines[0].startswith("x=1.0,1.0,1.0 p=2.0 theta=0.5 value=")
         assert len(lines) == 4
         assert all(line.startswith("w=") and " f=" in line and " g=" in line for line in lines[1:])
+
+
+def slice_rows(p, n):
+    """The query points of ``ucx envelope --grid-n n``, both face rows included."""
+    return [LambdaPoint(1.0, 1.0, i * 2.0**p / (n - 1)) for i in range(n)]
+
+
+def same_result(a, b):
+    return a.value == b.value and a.residual == b.residual and a.witness == b.witness
+
+
+def spy_batches(monkeypatch):
+    """Record the (rows, queries) of every weight solve of the pattern search."""
+    sizes, solve = [], bellman._solve_weights
+
+    def spy(*args):
+        sizes.append((len(args[6]), len(args[7])))
+        return solve(*args)
+
+    monkeypatch.setattr(bellman, "_solve_weights", spy)
+    return sizes
+
+
+class TestBatch:
+    """One pattern search over all interior queries, equal to one search per query."""
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 4.0])
+    def test_batch_equals_one_call_per_point(self, p):
+        points = slice_rows(p, 7)
+        budget = SearchBudget(restarts=16, local_steps=400, seed=3)
+        batch = brute_force_batch(points, p, 0.5, budget)
+        assert len(batch) == len(points)
+        for x, res in zip(points, batch):
+            assert same_result(res, brute_force_bellman(x, p, 0.5, budget))
+        assert len(batch[0].witness.atoms) == len(batch[-1].witness.atoms) == 1
+
+    def test_empty_batch(self):
+        assert brute_force_batch([], 2.0) == []
+
+    def test_all_face_batch_runs_no_search(self, monkeypatch, capsys):
+        sizes = spy_batches(monkeypatch)
+        res = brute_force_batch(slice_rows(2.5, 2), 2.5)
+        assert [r.value for r in res] == [1.0, 0.0]
+        assert all(len(r.witness.atoms) == 1 for r in res)
+        assert cli_main(["envelope", "--p", "2.5", "--grid-n", "2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert sizes == []
+
+    def test_mixed_face_and_interior(self):
+        p, budget = 3.0, SearchBudget(restarts=8, local_steps=300, seed=1)
+        points = [LambdaPoint(1.0, 1.0, 1.0), LambdaPoint(2.0**p, 1.0, 1.0), LambdaPoint(1.0, 1.0, 0.0),
+                  LambdaPoint(0.5, 1.0, 2.0), LambdaPoint(1.0, 2.0**p, 3.0**p)]
+        batch = brute_force_batch(points, p, 0.3, budget)
+        assert [len(r.witness.atoms) for r in batch] == [3, 1, 1, 3, 1]
+        for x, res in zip(points, batch):
+            assert same_result(res, brute_force_bellman(x, p, 0.3, budget))
+
+    def test_queries_stop_at_different_steps(self, monkeypatch):
+        p, budget = 1.5, SearchBudget(restarts=8, local_steps=1500, seed=2)
+        points = slice_rows(p, 7)[1:-1]
+        sizes = spy_batches(monkeypatch)
+        batch = brute_force_batch(points, p, 0.5, budget)
+        queries = [q for _, q in sizes]
+        # the batch shrinks as queries stop, one stage per stopping cycle
+        assert queries == sorted(queries, reverse=True) and len(set(queries)) >= 3
+        assert queries[0] == 5 and all(rows == 8 * q for rows, q in sizes)
+        assert len(sizes) < budget.local_steps + 1
+        for x, res in zip(points, batch):
+            assert same_result(res, brute_force_bellman(x, p, 0.5, budget))
+
+    @pytest.mark.parametrize("limit", [1, 17, 40])
+    def test_chunks_of_whole_queries(self, monkeypatch, limit):
+        # BATCH_ROWS below one query's restarts still searches one query at a time
+        p, budget = 4.0, SearchBudget(restarts=8, local_steps=200, seed=0)
+        points = slice_rows(p, 9)
+        whole = brute_force_batch(points, p, 0.5, budget)
+        monkeypatch.setattr(bellman, "BATCH_ROWS", limit)
+        sizes = spy_batches(monkeypatch)
+        chunked = brute_force_batch(points, p, 0.5, budget)
+        assert max(rows for rows, _ in sizes) == max(8, limit // 8 * 8)
+        assert all(same_result(a, b) for a, b in zip(whole, chunked))
+
+    def test_first_query_without_feasible_pair_in_input_order(self, capsys):
+        # one restart and one step: rows 1-4 of this slice reach a pair, rows 5-7 do not
+        p, budget = 3.0, SearchBudget(restarts=1, local_steps=1, seed=0)
+        points = slice_rows(p, 9)
+        assert all(r.value >= 0.0 for r in brute_force_batch(points[:5], p, 0.5, budget))
+        for order, named in [(points, 5.0), ([points[7], points[1], points[5]], 7.0)]:
+            with pytest.raises(NoFeasiblePairError, match=rf"\[1\.0, 1\.0, {named}\]"):
+                brute_force_batch(order, p, 0.5, budget)
+        outside = LambdaPoint(1.0, 1.0, 100.0)
+        with pytest.raises(NoFeasiblePairError):
+            brute_force_batch([points[5], outside], p, 0.5, budget)
+        with pytest.raises(InfeasibleStartError):
+            brute_force_batch([points[1], outside, points[5]], p, 0.5, budget)
+        argv = ["envelope", "--p", "3", "--grid-n", "9", "--restarts", "1", "--local-steps", "1"]
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "[1.0, 1.0, 5.0]" in err
 
 
 class TestWitnessSuite:

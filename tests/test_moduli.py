@@ -159,7 +159,8 @@ def _relative_error(value, ref):
 
 
 class TestAccuracyContract:
-    """delta for 1 < p < 2 is within 1e-12 relative of a 50-digit mpmath root."""
+    """delta for 1.01 <= p < 2 is within 1e-12 relative of a 50-digit mpmath
+    root, and for 1 < p < 1.01 within 2e-15 / (p - 1)."""
 
     @pytest.mark.parametrize("p, eps, expected", DELTA_SMALL_EPS_LT2)
     def test_small_eps_anchors(self, p, eps, expected):
@@ -179,3 +180,11 @@ class TestAccuracyContract:
             points += [(p, 2.0 ** (1.0 / p) * (1.0 + k)) for k in (0.0, 1e-12, -1e-9)]
         worst = max((_relative_error(delta(p, eps), delta_mpmath(p, eps)), p, eps) for p, eps in points)
         assert worst[0] <= 1e-12, worst
+
+    @pytest.mark.parametrize("p", [1.0001, 1.001, 1.005, 1.008])
+    def test_near_one_small_eps(self, p):
+        # delta ~ (p - 1) eps^2 / 8 there, and the error grows like 1/(p - 1):
+        # about 2.5e-16 / (p - 1) measured, 3.3e-13 at p = 1.001
+        eps_values = [10.0 ** (-10 + k / 4) for k in range(9)] + [1e-6, 1e-3, 0.1, 1.0, 1.9]
+        worst = max((_relative_error(delta(p, eps), delta_mpmath(p, eps)), eps) for eps in eps_values)
+        assert worst[0] <= 2e-15 / (p - 1.0), worst
