@@ -29,14 +29,7 @@ from .certificates import (
     sharpness_check,
     verify_appendix,
 )
-from .domain import (
-    BoundaryFace,
-    BoundaryProfile,
-    LambdaPoint,
-    boundary_profile,
-    contains,
-    slice_lower_bound,
-)
+from .domain import BoundaryFace, LambdaPoint, contains
 from .envelope import EnvelopeQuery, ObstacleGrid, concavify, sample_boundary
 from .moduli import SStar, delta, delta_closed_form, delta_implicit, delta_via_s_star, solve_s_star
 from .numerics import Bracket, LpProblem, bisect_root, solve_lp
@@ -44,7 +37,6 @@ from .numerics import Bracket, LpProblem, bisect_root, solve_lp
 __all__ = [
     "Bracket",
     "BoundaryFace",
-    "BoundaryProfile",
     "BruteForceResult",
     "Certificate",
     "EnvelopeQuery",
@@ -57,7 +49,6 @@ __all__ = [
     "StepPair",
     "VerificationReport",
     "bisect_root",
-    "boundary_profile",
     "brute_force_batch",
     "brute_force_bellman",
     "certificate_ge2",
@@ -75,7 +66,6 @@ __all__ = [
     "payoff",
     "sample_boundary",
     "sharpness_check",
-    "slice_lower_bound",
     "solve_lp",
     "solve_s_star",
     "verify_appendix",

@@ -1,6 +1,6 @@
-"""Affine tangent-plane certificates and the verification scans behind them.
+"""Linear tangent-plane certificates and the verification scans behind them.
 
-A certificate is an affine function c0 + c . x that majorizes the boundary
+A certificate is a linear function c . x that majorizes the boundary
 payoff on the whole cone boundary, hence (being concave) majorizes the
 extremal value function everywhere; evaluating it at the query point
 (1, 1, eps^p) yields the sharp modulus.  ``verify_appendix`` re-derives
@@ -17,39 +17,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    LambdaPoint,
-    boundary_profile,
-    check_exponent,
-    section_parameter,
-    section_profile,
-)
+from .domain import LambdaPoint, check_exponent, section_parameter, section_profile
 from .errors import DomainError, OutOfRangeError, WrongRegimeError
 from .moduli import solve_s_star
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Affine majorant of the boundary data, linear by degree-1 homogeneity.
+    """Majorant c . x of the boundary data, linear by degree-1 homogeneity.
 
-    GE2 regime (p >= 2): c = (1/2, 1/2, -2**(-p)).
-    LT2 regime (1 < p < 2, eps < 2): c = (k, k, f(s*) - 2 eps^(-p) k) with
-    k = f'(s*) / (1 + g'(s*)).  As eps -> 2, s* -> 2**(-p), where 1 + g'
-    vanishes and k grows without bound, so no affine certificate exists at
-    eps = 2.
+    p >= 2: c = (1/2, 1/2, -2**(-p)).
+    1 < p < 2, eps < 2: c = (k, k, f(s*) - 2 eps^(-p) k) with
+    k = f'(s*) / (1 + g'(s*)), and ``s_star`` is s*.  As eps -> 2,
+    s* -> 2**(-p), where 1 + g' vanishes and k grows without bound, so no
+    affine certificate exists at eps = 2.
     """
 
-    c0: float
     c: tuple[float, float, float]
-    regime: str
-    p: float
-    eps: float | None = None
     s_star: float | None = None
 
     def value(self, x):
         """Evaluate at a LambdaPoint, a length-3 vector, or an (N, 3) array."""
         arr = x.as_array() if isinstance(x, LambdaPoint) else np.asarray(x, dtype=float)
-        v = self.c0 + arr @ np.asarray(self.c, dtype=float)
+        v = arr @ np.asarray(self.c, dtype=float)
         return float(v) if np.ndim(v) == 0 else v
 
 
@@ -76,17 +66,19 @@ def certificate_ge2(p: float) -> Certificate:
     p = check_exponent(p)
     if p < 2.0:
         raise WrongRegimeError(f"GE2 certificate requires p >= 2, got p={p}")
-    return Certificate(0.0, (0.5, 0.5, -(2.0 ** (-p))), "GE2", p)
+    return Certificate((0.5, 0.5, -(2.0 ** (-p))))
 
 
 def certificate_lt2(p: float, eps: float) -> Certificate:
-    """The 1 < p < 2 certificate built from the slice parameter s*.
+    """The 1 < p < 2 certificate, tangent to the boundary payoff at s*.
 
-    For s* > 1 it is taken at the tangency point on the compact section,
-    with roots (1, 1 - w, w), w = s***(-1/p): there f' = a = (1 - w/2)**(p-1)
-    and g' = b = (1 - w)**(p-1), so k = a/(1 + b), and c3 = f(s*) - k (s* + g)
-    reduces to k w**(1-p) (b - 1)/2 with b - 1 = expm1((p-1) log1p(-w)),
-    which has none of the cancellation between terms of size s*.
+    The tangency point on the compact section, scaled to first root 1, has
+    roots (1, |1 - w|, w) with w = s***(-1/p) in (0, 2).  There
+    f' = a = (1 - w/2)**(p-1) and g' = b = sign(1 - w) |1 - w|**(p-1), so
+    k = a/(1 + b), and c3 = f(s*) - k (s* + g) reduces to
+    k w**(1-p) (b - 1)/2, which has none of the cancellation between terms
+    of size s*.  b - 1 is expm1((p-1) log1p(-w)) for w < 1 (s* > 1) and
+    -1 - (w - 1)**(p-1) from w = 1 on.
     """
     p = check_exponent(p)
     if not (p < 2.0):
@@ -94,16 +86,14 @@ def certificate_lt2(p: float, eps: float) -> Certificate:
     if not (0.0 < eps < 2.0):
         raise DomainError(f"the p < 2 certificate needs eps in (0, 2), got {eps!r}")
     s_star = solve_s_star(p, eps).s_star
-    if s_star > 1.0:
-        w = s_star ** (-1.0 / p)
+    w = s_star ** (-1.0 / p)
+    if w < 1.0:
         b_minus_1 = math.expm1((p - 1.0) * math.log1p(-w))
-        kappa = (1.0 - 0.5 * w) ** (p - 1.0) / (2.0 + b_minus_1)
-        c3 = 0.5 * kappa * w ** (1.0 - p) * b_minus_1
     else:
-        prof = boundary_profile(s_star, p)
-        kappa = prof.f_prime / (1.0 + prof.g_prime)
-        c3 = prof.f - 2.0 * eps ** (-p) * kappa
-    return Certificate(0.0, (kappa, kappa, c3), "LT2", p, eps, s_star)
+        b_minus_1 = -1.0 - (w - 1.0) ** (p - 1.0)
+    kappa = (1.0 - 0.5 * w) ** (p - 1.0) / (2.0 + b_minus_1)
+    c3 = 0.5 * kappa * w ** (1.0 - p) * b_minus_1
+    return Certificate((kappa, kappa, c3), s_star)
 
 
 def monotonicity_witness(s, p: float):
@@ -188,13 +178,7 @@ def verify_appendix(
         tol_cc = 1e-9 * max(1.0, float(np.abs(wit).max()))
         reports.append(_report_max("w-concave", sw[1:-1], d2, tol_cc))
         end_devs = np.array([abs(wit[0] - (1.0 - 2.0 ** (2.0 - p))), abs(wit[-1])])
-        i = int(np.argmax(end_devs))
-        reports.append(
-            VerificationReport(
-                "w-endpoints", 2, float(end_devs[i]), float(sw[0] if i == 0 else sw[-1]),
-                bool(end_devs[i] <= 1e-12),
-            )
-        )
+        reports.append(_report_max("w-endpoints", sw[[0, -1]], end_devs, 1e-12))
     else:
         den = 1.0 + gp
         j = int(np.argmin(den))
@@ -206,26 +190,14 @@ def verify_appendix(
 
         t_in = tau[1:]
         ratio = fp[1:] / den[1:]
-        diffs = np.diff(ratio)
-        i = int(np.argmax(diffs))
-        reports.append(
-            VerificationReport(
-                "slope-ratio-decreasing", len(t_in), float(diffs[i]), float(t_in[i]),
-                bool(diffs[i] < 1e-12),
-            )
-        )
+        # each difference is reported at the left end of its step
+        reports.append(_report_max("slope-ratio-decreasing", t_in, np.diff(ratio), 1e-12))
 
-        tau_star = section_parameter(float(cert.s_star), p)
+        tau_star = section_parameter(cert.s_star, p)
         band = 2.0 * (tau[1] - tau[0])
         rhs = cert.c[0] - ratio
         viol = np.where(t_in < tau_star - band, rhs, np.where(t_in > tau_star + band, -rhs, -np.inf))
-        i = int(np.argmax(viol))
-        reports.append(
-            VerificationReport(
-                "gap-derivative-sign", len(t_in), float(viol[i]), float(t_in[i]),
-                bool(viol[i] <= 1e-12),
-            )
-        )
+        reports.append(_report_max("gap-derivative-sign", t_in, viol, 1e-12))
 
     slope = f * (1.0 + gp) - fp * (x[:, 0] + x[:, 1])
     reports.append(_report_max("x3-slope-nonpositive", tau, slope, 1e-12))
@@ -261,9 +233,7 @@ def sharpness_check(p: float, eps: float | None = None, n_chord: int = 1001) -> 
         cert = certificate_lt2(p, eps)
         x, f, _, _ = section_profile(section_parameter(cert.s_star, p), p)
         ends, payoffs = np.array([x, x[[1, 0, 2]]]), np.array([f, f])
-        prof = boundary_profile(cert.s_star, p)
-        target = 2.0 * eps ** (-p)
-        on_ray = abs(prof.s + prof.g - target) <= 1e-12 * target
+        on_ray = solve_s_star(p, eps).residual <= 1e-12 * 2.0 * eps ** (-p)
     else:
         cert = certificate_ge2(p)
         ends, payoffs, _, _ = section_profile(np.array([0.0, 1.0]), p)

@@ -4,10 +4,11 @@ A point x = (x1, x2, x3) collects the averaged p-th moments
 (|f|^p, |g|^p, |f-g|^p) of a function pair.  The reachable set is the
 convex cone cut out by the three p-th-root triangle inequalities; on its
 boundary the pair is forced to be collinear, which pins the payoff down
-to explicit formulas.  The theta=1/2 boundary slice at x3 = 1 is carried
-by the one-parameter profile (s, g(s), 1) with boundary payoff f(s); on the
-compact section of the cone (largest p-th root 1) the whole slice, s -> oo
-included, is parametrized by its payoff root tau in [0, 1].
+to explicit formulas.  The theta=1/2 boundary slice at x3 = 1 is the curve
+(s, g(s), 1), s >= 2**(-p), with boundary payoff f(s).  It is carried on
+the compact section of the cone (largest p-th root 1), where the whole
+slice, s -> oo included, is parametrized by its payoff root tau in [0, 1]
+(``section_profile``); ``section_parameter`` maps s to tau.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NegativeCoordinateError, OutOfRangeError
+from .errors import DomainError, NegativeCoordinateError
 
 #: relative tolerance for boundary-face classification
 FACE_TOL = 1e-9
@@ -35,11 +36,6 @@ def check_theta(theta: float) -> float:
     if not (math.isfinite(theta) and 0.0 <= theta <= 1.0):
         raise DomainError(f"theta must lie in [0, 1], got {theta!r}")
     return float(theta)
-
-
-def slice_lower_bound(p: float) -> float:
-    """Smallest admissible slice parameter, 2**(-p)."""
-    return 2.0 ** (-p)
 
 
 class BoundaryFace(enum.Enum):
@@ -72,22 +68,6 @@ class LambdaPoint:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3], dtype=float)
-
-
-@dataclass(frozen=True)
-class BoundaryProfile:
-    """Slice-parametrized boundary data at theta = 1/2.
-
-    ``g`` is the partner coordinate of the boundary curve (s, g(s), 1) and
-    ``f`` the boundary payoff along it; both come with analytic derivatives.
-    1 + g_prime vanishes exactly at s = 2**(-p) and is positive beyond it.
-    """
-
-    s: float
-    g: float
-    f: float
-    g_prime: float
-    f_prime: float
 
 
 def _roots(x: LambdaPoint, p: float) -> tuple[float, float, float]:
@@ -134,38 +114,6 @@ def face_value(face: BoundaryFace, u, p: float, theta: float):
     if face is BoundaryFace.FACE1:
         return (theta * u3 + u2) ** p
     return (u1 + (1.0 - theta) * u3) ** p
-
-
-def profile_arrays(s, p: float):
-    """Vectorized slice profile: returns (f, g, f', g') over an array of s.
-
-    Valid for s >= 2**(-p).  The payoff base s**(1/p) - 1/2 is clamped at 0
-    so rounding at the left endpoint cannot leak a negative base into a
-    fractional power.  g' is exactly 0 at s = 1 because 0**(p-1) == 0.
-    """
-    s = np.asarray(s, dtype=float)
-    inv = 1.0 / p
-    u = s**inv
-    du = s ** (inv - 1.0)  # p * d(s**(1/p))/ds; the 1/p cancels against the outer power
-    fbase = np.maximum(u - 0.5, 0.0)
-    gbase = np.abs(1.0 - u)
-    f = fbase**p
-    g = gbase**p
-    f_prime = fbase ** (p - 1.0) * du
-    g_prime = -np.sign(1.0 - u) * gbase ** (p - 1.0) * du
-    return f, g, f_prime, g_prime
-
-
-def boundary_profile(s: float, p: float) -> BoundaryProfile:
-    """Boundary data (g(s), f(s)) and derivatives on the theta=1/2 slice."""
-    p = check_exponent(p)
-    smin = slice_lower_bound(p)
-    if s < smin:
-        if s < smin - 1e-12 * (1.0 + smin):
-            raise OutOfRangeError(f"slice parameter {s!r} below 2**(-p) = {smin!r}")
-        s = smin
-    f, g, fp_, gp_ = profile_arrays(s, p)
-    return BoundaryProfile(float(s), float(g), float(f), float(gp_), float(fp_))
 
 
 def section_profile(tau, p: float):

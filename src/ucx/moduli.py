@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .domain import boundary_profile, check_exponent, slice_lower_bound
+from .domain import check_exponent
 from .errors import DomainError, WrongRegimeError
 from .numerics import Bracket, bisect_root
 
@@ -101,7 +101,7 @@ def _log_u(p: float, eps: float) -> float:
 
 
 def solve_s_star(p: float, eps: float) -> SStar:
-    """The root of 2 eps^(-p) = s + g(s) on [2**(-p), oo).
+    """The root of 2 eps^(-p) = s + g(s), g(s) = |1 - s**(1/p)|**p, on [2**(-p), oo).
 
     s* = ((1 - delta)/eps + 1/2)**p in closed form, clamped at 2**(-p), with
     log(1 - delta) from the root solve behind ``delta_via_s_star``; that is
@@ -111,8 +111,9 @@ def solve_s_star(p: float, eps: float) -> SStar:
     eps = _check_eps(eps, allow_zero=False)
     if p > 2.0:
         raise WrongRegimeError(f"s* path applies for 1 < p <= 2, got p={p}")
-    s = max((math.exp(_log_u(p, eps)) / eps + 0.5) ** p, slice_lower_bound(p))
-    return SStar(s, eps, p, abs(s + boundary_profile(s, p).g - 2.0 * eps ** (-p)))
+    s = max((math.exp(_log_u(p, eps)) / eps + 0.5) ** p, 2.0**-p)
+    g = abs(1.0 - s ** (1.0 / p)) ** p
+    return SStar(s, eps, p, abs(s + g - 2.0 * eps ** (-p)))
 
 
 def delta_via_s_star(p: float, eps: float) -> float:

@@ -1,9 +1,12 @@
 """Numerical helpers that only the tests use."""
 
-import mpmath
+from dataclasses import dataclass
 
-from ucx.domain import FACE_TOL, LambdaPoint, boundary_profile, check_theta, contains, face_value
-from ucx.errors import UcxError
+import mpmath
+import numpy as np
+
+from ucx.domain import FACE_TOL, LambdaPoint, check_exponent, check_theta, contains, face_value
+from ucx.errors import OutOfRangeError, UcxError
 
 
 class NotOnBoundaryError(UcxError):
@@ -29,6 +32,63 @@ def boundary_value(x: LambdaPoint, p: float, theta: float = 0.5, tol: float = FA
     if not face.on_boundary:
         raise NotOnBoundaryError(f"{x} is {face.value}, not on the cone boundary")
     return face_value(face, [c ** (1.0 / p) for c in (x.x1, x.x2, x.x3)], p, theta)
+
+
+def slice_lower_bound(p: float) -> float:
+    """Smallest admissible slice parameter, 2**(-p)."""
+    return 2.0 ** (-p)
+
+
+@dataclass(frozen=True)
+class BoundaryProfile:
+    """Slice-parametrized boundary data at theta = 1/2.
+
+    ``g`` is the partner coordinate of the boundary curve (s, g(s), 1) and
+    ``f`` the boundary payoff along it; both come with analytic derivatives.
+    1 + g_prime vanishes exactly at s = 2**(-p) and is positive beyond it.
+    """
+
+    s: float
+    g: float
+    f: float
+    g_prime: float
+    f_prime: float
+
+
+def profile_arrays(s, p: float):
+    """Vectorized slice profile: returns (f, g, f', g') over an array of s.
+
+    Valid for s >= 2**(-p).  The payoff base s**(1/p) - 1/2 is clamped at 0
+    so rounding at the left endpoint cannot leak a negative base into a
+    fractional power.  g' is exactly 0 at s = 1 because 0**(p-1) == 0.
+    """
+    s = np.asarray(s, dtype=float)
+    inv = 1.0 / p
+    u = s**inv
+    du = s ** (inv - 1.0)  # p * d(s**(1/p))/ds; the 1/p cancels against the outer power
+    fbase = np.maximum(u - 0.5, 0.0)
+    gbase = np.abs(1.0 - u)
+    f = fbase**p
+    g = gbase**p
+    f_prime = fbase ** (p - 1.0) * du
+    g_prime = -np.sign(1.0 - u) * gbase ** (p - 1.0) * du
+    return f, g, f_prime, g_prime
+
+
+def boundary_profile(s: float, p: float) -> BoundaryProfile:
+    """Boundary data (g(s), f(s)) and derivatives on the theta=1/2 slice.
+
+    The slice form of the curve that ``ucx.domain.section_profile`` carries
+    on the compact section; the tests compare the two.
+    """
+    p = check_exponent(p)
+    smin = slice_lower_bound(p)
+    if s < smin:
+        if s < smin - 1e-12 * (1.0 + smin):
+            raise OutOfRangeError(f"slice parameter {s!r} below 2**(-p) = {smin!r}")
+        s = smin
+    f, g, fp_, gp_ = profile_arrays(s, p)
+    return BoundaryProfile(float(s), float(g), float(f), float(gp_), float(fp_))
 
 
 def slice_point(s: float, p: float, swapped: bool = False) -> LambdaPoint:

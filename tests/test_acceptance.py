@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from anchors import DELTA_P15_E1, S_STAR_P15_E1
-from helpers import slice_point
+from helpers import boundary_profile, slice_lower_bound, slice_point
 from ucx.bellman import SearchBudget, StepFunction, brute_force_bellman, hanner_gap, witness_test
 from ucx.certificates import certificate_ge2, certificate_lt2, sharpness_check, verify_appendix
 from ucx.cli import main as cli_main
-from ucx.domain import LambdaPoint, boundary_profile, slice_lower_bound
+from ucx.domain import LambdaPoint
 from ucx.envelope import concavify, sample_boundary
 from ucx.moduli import delta_closed_form, delta_implicit, delta_via_s_star, solve_s_star
 

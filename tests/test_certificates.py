@@ -19,9 +19,9 @@ from ucx.domain import LambdaPoint, section_parameter, section_profile
 from ucx.errors import DomainError, OutOfRangeError, WrongRegimeError
 
 
-def section_gap(cert, tau):
+def section_gap(cert, tau, p):
     """Certificate minus boundary payoff at section points, as ``verify_appendix`` scans it."""
-    x, f, _, _ = section_profile(tau, cert.p)
+    x, f, _, _ = section_profile(tau, p)
     return cert.value(x) - f
 
 
@@ -86,6 +86,12 @@ class TestCertificateLt2:
         for _ in range(60):
             eps = math.exp(rng.uniform(math.log(1e-8), math.log(1.2)))  # s* > 1
             points.append((rng.uniform(1.01, 1.99), eps))
+        # eps > 2**(1/p) puts s* <= 1: the tangency point is on face 3 of the
+        # section, where w = s***(-1/p) >= 1 and b - 1 = -1 - (w - 1)**(p-1)
+        points += [(1.75, 1.697), (1.5, 1.7), (1.02, 1.99)]
+        for _ in range(60):
+            p = rng.uniform(1.01, 1.99)
+            points.append((p, rng.uniform(2.0 ** (1.0 / p), 2.0 - 1e-3)))
         for p, eps in points:
             cert = certificate_lt2(p, eps)
             k, c3 = lt2_coefficients_mpmath(p, eps)
@@ -99,25 +105,25 @@ class TestMajorizationGap:
 
     def test_ge2_left_endpoint(self):
         # the certificate touches the payoff at the antipodal point and at (1, 1, 0)
-        gap = section_gap(certificate_ge2(3.0), np.array([0.0, 1.0]))
+        gap = section_gap(certificate_ge2(3.0), np.array([0.0, 1.0]), 3.0)
         assert np.abs(gap).max() <= 1e-15
 
     def test_lt2_vanishes_at_s_star(self):
         for p, eps in [(1.5, 1.0), (1.5, 1e-8), (1.99, 1e-8), (1.2, 1.9)]:
             cert = certificate_lt2(p, eps)
             tau_star = section_parameter(cert.s_star, p)
-            assert section_gap(cert, tau_star) == pytest.approx(0.0, abs=1e-14)
+            assert section_gap(cert, tau_star, p) == pytest.approx(0.0, abs=1e-14)
 
     def test_p2_identically_zero(self):
-        assert np.abs(section_gap(certificate_ge2(2.0), self.TAU)).max() <= 1e-15
+        assert np.abs(section_gap(certificate_ge2(2.0), self.TAU, 2.0)).max() <= 1e-15
 
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 5.0])
     def test_ge2_nonnegative_on_slice(self, p):
-        assert section_gap(certificate_ge2(p), self.TAU).min() >= -1e-15
+        assert section_gap(certificate_ge2(p), self.TAU, p).min() >= -1e-15
 
     @pytest.mark.parametrize("p,eps", [(1.2, 0.5), (1.5, 1.0), (1.8, 1.5)])
     def test_lt2_nonnegative_on_slice(self, p, eps):
-        assert section_gap(certificate_lt2(p, eps), self.TAU).min() >= -1e-15
+        assert section_gap(certificate_lt2(p, eps), self.TAU, p).min() >= -1e-15
 
 
 class TestMonotonicityWitness:

@@ -7,12 +7,14 @@ import re
 import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchors import DELTA_E1_P4, DELTA_P15_E1
+from ucx import bellman
 from ucx.cli import main
 
 
@@ -91,6 +93,17 @@ class TestTable:
         code, out, err = run_cli(["table", "--p", "3", "--eps", "1", "--output", str(target)])
         assert code == 2 and out == ""
         assert err.startswith("ucx: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--p", "3", "--grid-n", "11", "--n-chord", "3"],
+        ["envelope", "--p", "3", "--grid-n", "2", "--n-per-face", "4"],
+        ["bruteforce", "--p", "3", "--x", "1,1,8"],
+    ])
+    def test_unwritable_output_exit_2_every_subcommand(self, tmp_path, argv):
+        target = tmp_path / "missing-dir" / "out.txt"
+        code, out, err = run_cli([*argv, "--output", str(target)])
+        assert code == 2 and out == ""
+        assert err.startswith("ucx: cannot write --output") and err.count("\n") == 1
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "rows.csv"
@@ -189,6 +202,19 @@ class TestEnvelope:
         # x3 grid [0, 2^p] with 5 points does not hit 1 exactly; check the header shape
         assert list(rows[0].keys()) == ["x3", "envelope", "certificate", "brute_force"]
 
+    def test_search_above_certificate_exit_1(self, monkeypatch):
+        # the search is a lower bound: a value above the certificate breaks the
+        # sandwich even where it stays within --sandwich-tol of the envelope
+        search = bellman.brute_force_batch
+
+        def raised(*args, **kwargs):
+            return [replace(r, value=r.value + 1e-3) for r in search(*args, **kwargs)]
+
+        monkeypatch.setattr(bellman, "brute_force_batch", raised)
+        code, out, err = run_cli(["envelope", "--p", "4", "--grid-n", "5"])
+        assert code == 1 and len(parse_csv(out)) == 5
+        assert err.count("sandwich violation") == 5
+
     def test_missing_eps_exit_2(self):
         code, _, err = run_cli(["envelope", "--p", "1.5"])
         assert code == 2 and "epsilon required" in err
@@ -234,10 +260,12 @@ class TestBruteforce:
         assert code == 2 and out == ""
         assert err.startswith("ucx: ") and err.count("\n") == 1
 
-    def test_outside_point_exit_1(self):
-        code, _, err = run_cli(["bruteforce", "--p", "2", "--x", "1,1,99",
-                                "--restarts", "2", "--local-steps", "10"])
-        assert code == 1 and "outside" in err
+    def test_outside_point_exit_2(self):
+        # a point outside the cone is a bad input, not a failed mathematical check
+        code, out, err = run_cli(["bruteforce", "--p", "2", "--x", "1,1,99",
+                                  "--restarts", "2", "--local-steps", "10"])
+        assert code == 2 and out == ""
+        assert err.startswith("ucx: ") and "outside" in err and err.count("\n") == 1
 
 
 class TestDeterminism:

@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 from anchors import FPRIME_4_P15, FPRIME_4_P2, GPRIME_4_P15, GPRIME_4_P2
-from helpers import NotOnBoundaryError, boundary_value, central_diff, slice_point
-from ucx.domain import (
-    BoundaryFace,
-    LambdaPoint,
+from helpers import (
+    NotOnBoundaryError,
     boundary_profile,
-    contains,
-    face_value,
+    boundary_value,
+    central_diff,
     profile_arrays,
-    section_parameter,
-    section_profile,
     slice_lower_bound,
+    slice_point,
 )
+from ucx.domain import BoundaryFace, LambdaPoint, contains, face_value, section_parameter, section_profile
 from ucx.errors import (
     DomainError,
     NegativeCoordinateError,
