@@ -2,20 +2,18 @@
 
 The sharp constant is computed by explicit formulas (closed form for
 p >= 2, a slice-parameter root for 1 < p < 2) and certified three separate
-ways: affine tangent-plane certificates verified by grid scans, LP
-concavification of sampled boundary data, and derivative-free maximization
+ways: affine tangent-plane certificates verified by grid scans, the upper
+concave hull of sampled boundary data, and derivative-free maximization
 over step-function pairs.
 """
 
 from .bellman import (
     BruteForceResult,
     SearchBudget,
-    StepFunction,
     StepPair,
     brute_force_batch,
     brute_force_bellman,
     format_witness,
-    hanner_gap,
     moment,
     payoff,
     witness_test,
@@ -32,7 +30,7 @@ from .certificates import (
 from .domain import BoundaryFace, LambdaPoint, contains
 from .envelope import EnvelopeQuery, ObstacleGrid, concavify, sample_boundary
 from .moduli import SStar, delta, delta_closed_form, delta_implicit, delta_via_s_star, solve_s_star
-from .numerics import Bracket, LpProblem, bisect_root, solve_lp
+from .numerics import Bracket, bisect_root
 
 __all__ = [
     "Bracket",
@@ -41,11 +39,9 @@ __all__ = [
     "Certificate",
     "EnvelopeQuery",
     "LambdaPoint",
-    "LpProblem",
     "ObstacleGrid",
     "SStar",
     "SearchBudget",
-    "StepFunction",
     "StepPair",
     "VerificationReport",
     "bisect_root",
@@ -60,13 +56,11 @@ __all__ = [
     "delta_implicit",
     "delta_via_s_star",
     "format_witness",
-    "hanner_gap",
     "moment",
     "monotonicity_witness",
     "payoff",
     "sample_boundary",
     "sharpness_check",
-    "solve_lp",
     "solve_s_star",
     "verify_appendix",
     "witness_test",

@@ -7,9 +7,8 @@ in the cone and its payoff is a lower bound on the value function there.
 weights exactly, for a batch of query points at once, so each payoff is
 such a lower bound up to float rounding; ``brute_force_bellman`` is its
 one-point call.
-``hanner_gap`` and ``witness_test`` check the classical two-function
-inequality and the midpoint-contraction definition of the modulus against
-the computed sharp constant.
+``witness_test`` checks the midpoint-contraction definition of the modulus
+against the computed sharp constant.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .certificates import VerificationReport
 from .domain import BoundaryFace, LambdaPoint, check_exponent, check_theta, contains
-from .errors import DomainError, InfeasibleStartError, NoFeasiblePairError, PartitionMismatchError
+from .errors import DomainError, InfeasibleStartError, NoFeasiblePairError, NonFiniteError
 from .moduli import delta
 
 #: weights must sum to one within this slack
@@ -41,22 +40,6 @@ STEP_FLOOR = 1e-12
 BATCH_ROWS = 4096
 #: a length-3 axis extended cyclically, so components i+1 and i+2 are slices
 _CYCLE = [0, 1, 2, 0, 1]
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """One marginal of a step pair: atoms of (weight, value), floats or
-    equal-shape arrays holding one function per element."""
-
-    atoms: tuple[tuple[float, float], ...]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([a for a, _ in self.atoms])
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.atoms])
 
 
 @dataclass(frozen=True)
@@ -242,8 +225,10 @@ def brute_force_batch(
     witness's moments m from x; its payoff is at most V(m), so it exceeds
     the value V(x) by at most the gradient of V times m - x.  The first
     point in input order that lies outside the cone raises
-    ``InfeasibleStartError``, and the first interior point no restart
-    reaches a feasible pair for raises ``NoFeasiblePairError``.
+    ``InfeasibleStartError``, the first interior point no restart
+    reaches a feasible pair for raises ``NoFeasiblePairError``, and one
+    whose witness overflows float64 when scaled back to it (at p in the
+    hundreds) raises ``NonFiniteError``.
     """
     p = check_exponent(p)
     theta = check_theta(theta)
@@ -325,7 +310,11 @@ def _witness_atoms(target, vals, a, score, p, theta, budget):
     # the pair to unit mass and x: no witness moment then exceeds 3 max(x)
     top = _atom_terms(f, g, p, theta)[0].max(axis=1)
     w = a[best] * top
-    c = (scale * w.sum() / top) ** (1.0 / p)
+    with np.errstate(all="ignore"):
+        c = (scale * w.sum() / top) ** (1.0 / p)
+    if not np.isfinite(c).all():
+        raise NonFiniteError(f"scaling the witness for {target.tolist()} back from max(x) = 1"
+                             f" overflows float64 at p={p!r}")
     return tuple(zip((w / w.sum()).tolist(), (f * c).tolist(), (g * c).tolist()))
 
 
@@ -337,31 +326,6 @@ def format_witness(x: LambdaPoint, p: float, theta: float, result: BruteForceRes
     )
     rows = [f"w={a!r} f={fv!r} g={gv!r}" for a, fv, gv in result.witness.atoms]
     return "\n".join([head] + rows)
-
-
-def hanner_gap(f_fn: StepFunction, g_fn: StepFunction, p: float):
-    """Two-function inequality gap on a shared partition.
-
-    Returns ||f+g||^p + ||f-g||^p - (||f||+||g||)^p - | ||f||-||g|| |^p,
-    which is >= 0 for p in [1, 2] and <= 0 for p >= 2 (equality at p = 2 by
-    the parallelogram law).  p = 1 is admitted here, unlike the rest of the
-    cone geometry.  A float for float atoms; for array atoms, an array of
-    the gaps of the pairs element by element.
-    """
-    if not p >= 1.0:
-        raise DomainError(f"the inequality is stated for p >= 1, got {p!r}")
-    aw, bw = f_fn.weights, g_fn.weights
-    if aw.shape != bw.shape or np.abs(aw - bw).max() > WEIGHT_TOL:
-        raise PartitionMismatchError("marginals do not share atom weights")
-    fv, gv = f_fn.values, g_fn.values
-
-    def norm(vals: np.ndarray) -> np.ndarray:
-        return (aw * np.abs(vals) ** p).sum(axis=0) ** (1.0 / p)
-
-    lhs = norm(fv + gv) ** p + norm(fv - gv) ** p
-    nf, ng = norm(fv), norm(gv)
-    gap = lhs - ((nf + ng) ** p + np.abs(nf - ng) ** p)
-    return float(gap) if gap.ndim == 0 else gap
 
 
 def witness_test(p: float, eps: float, trials: int, seed: int) -> VerificationReport:

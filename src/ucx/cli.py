@@ -140,7 +140,7 @@ def cmd_envelope(args) -> int:
         cert = certificates.certificate_ge2(p)
     if args.grid_n < 2:
         raise UsageError(f"grid-n must be at least 2, got {args.grid_n}")
-    grid = envelope.sample_boundary(p, 0.5, args.n_per_face)
+    grid = envelope.sample_boundary(p, args.n_per_face)
     budget = bellman.SearchBudget(args.restarts, args.local_steps, args.seed)
     points = [LambdaPoint(1.0, 1.0, i * (2.0**p) / (args.grid_n - 1)) for i in range(args.grid_n)]
     rows = [

@@ -4,8 +4,11 @@ The value function is the minimal concave majorant of the boundary payoff
 on the moment cone.  Boundary data and value function are both degree-1
 homogeneous, so at any query point the value is the best conic (nonnegative)
 combination of boundary samples hitting that point, and samples from one
-compact section of the cone suffice.  Restricting the combination to a
-finite sample set turns this into a small LP and yields a certified
+compact section of the cone suffice.  At theta = 1/2 both are also
+symmetric under x1 <-> x2, so on the plane x1 = x2 a sample counts through
+the average with its mirror, and the best combination reduces to the upper
+concave hull of one variable: the sample's x3 and payoff per unit of
+x1 + x2.  Restricting it to a finite sample set yields a certified
 under-approximation that sharpens as the sampling density grows.  This
 route is independent of the tangent-plane certificates and of the step-pair
 search, which is what makes the three-way sandwich test meaningful.
@@ -17,17 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryFace, LambdaPoint, check_exponent, check_theta, face_value
+from .domain import BoundaryFace, LambdaPoint, check_exponent, face_value
 from .errors import DomainError, InfeasibleError
-from .numerics import LpProblem, solve_lp
 
-#: active weights below this threshold are dropped from query reports
-ACTIVE_TOL = 1e-11
+#: relative slack past the antipodal ray within which a query is still
+#: answered: 2**p and 0.5**p each round on their own
+RAY_RTOL = 16 * 2.0**-53
 
 
 @dataclass(frozen=True)
 class ObstacleGrid:
-    """Sampled boundary points with their payoff values.
+    """Sampled boundary points with their theta = 1/2 payoff values.
 
     Points lie on the compact boundary section where the largest p-th root
     is 1; every boundary point is a nonnegative multiple of one of them.
@@ -35,8 +38,6 @@ class ObstacleGrid:
 
     points: np.ndarray
     values: np.ndarray
-    p: float
-    theta: float
 
     def __len__(self) -> int:
         return len(self.values)
@@ -51,7 +52,7 @@ class EnvelopeQuery:
     active_weights: tuple[tuple[int, float], ...]
 
 
-def sample_boundary(p: float, theta: float, n_per_face: int) -> ObstacleGrid:
+def sample_boundary(p: float, n_per_face: int) -> ObstacleGrid:
     """Sample each cone face once along its p-th-root parametrization.
 
     With ``t`` on ``n_per_face`` equispaced points of [0, 1], the roots
@@ -62,7 +63,6 @@ def sample_boundary(p: float, theta: float, n_per_face: int) -> ObstacleGrid:
     near x3 = 2^p leave the sampled cone.
     """
     p = check_exponent(p)
-    theta = check_theta(theta)
     if n_per_face < 2:
         raise DomainError(f"n_per_face must be at least 2, got {n_per_face}")
     t = np.linspace(0.0, 1.0, n_per_face)
@@ -73,25 +73,61 @@ def sample_boundary(p: float, theta: float, n_per_face: int) -> ObstacleGrid:
         (BoundaryFace.FACE2, (t, np.ones_like(t), 1.0 - t)),
     )
     points = np.concatenate([np.column_stack(u) ** p for _, u in faces])
-    values = np.concatenate([face_value(face, u, p, theta) for face, u in faces])
-    return ObstacleGrid(points, values, p, theta)
+    values = np.concatenate([face_value(face, u, p, 0.5) for face, u in faces])
+    return ObstacleGrid(points, values)
+
+
+def _upper_hull(r: np.ndarray, h: np.ndarray) -> list[int]:
+    """Indices of the vertices of the upper concave hull of (r, h), by increasing r.
+
+    Monotone chain over the samples sorted by r; of samples with equal r
+    only the highest can be a vertex.  Collinear middle points are dropped.
+    """
+    order = np.lexsort((-h, r))
+    order = order[np.append(True, np.diff(r[order]) > 0.0)]
+    hull: list[int] = []
+    for i in order.tolist():
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            if (r[a] - r[o]) * (h[i] - h[o]) < (h[a] - h[o]) * (r[i] - r[o]):
+                break
+            hull.pop()
+        hull.append(i)
+    return hull
 
 
 def concavify(grid: ObstacleGrid, x: LambdaPoint) -> EnvelopeQuery:
-    """Best conic combination of boundary samples hitting ``x``.
+    """Best conic combination of boundary samples and their mirrors hitting ``x``.
 
-    Maximizes sum(w_i * value_i) subject to sum(w_i * point_i) = x, w >= 0.
-    The optimum is a vertex, so at most three samples carry weight
-    (Caratheodory in the three moment coordinates).  Under-approximates the
-    true concave majorant by grid resolution.
+    Only queries on the plane x1 = x2 are answered.  A sample (a, b, c) with
+    payoff v enters through the average with its mirror (b, a, c), which
+    lies on that plane, as the point (r, h) = (c, v) / (a + b); the value at
+    (x1, x1, x3) is then 2 x1 hull(x3 / (2 x1)), with hull the upper
+    concave hull of those points.  At most two samples carry weight, the
+    hull vertices bracketing x3 / (2 x1); their weights hit x after each
+    sample is averaged with its mirror.  Under-approximates the true
+    concave majorant by grid resolution.
     """
-    try:
-        weights, value = solve_lp(LpProblem(grid.values, grid.points.T, x.as_array()))
-    except InfeasibleError as e:
-        raise InfeasibleError(
-            f"query {x} is outside the sampled cone; densify the grid"
-        ) from e
-    active = tuple(
-        (int(i), float(weights[i])) for i in np.nonzero(weights > ACTIVE_TOL)[0]
-    )
-    return EnvelopeQuery(x, value, active)
+    if x.x1 != x.x2:
+        raise DomainError(f"concavify answers queries with x1 == x2 only, got {x}")
+    if x.x1 == x.x3 == 0.0:
+        return EnvelopeQuery(x, 0.0, ())
+    mass = 2.0 * x.x1
+    if not mass > 0.0:
+        raise InfeasibleError(f"query {x} is outside the cone")
+    sums = grid.points[:, 0] + grid.points[:, 1]
+    r, h = grid.points[:, 2] / sums, grid.values / sums
+    hull = _upper_hull(r, h)
+    rs, rq = r[hull], x.x3 / mass
+    if not rs[0] <= rq <= rs[-1] * (1.0 + RAY_RTOL):
+        raise InfeasibleError(f"query {x} is outside the sampled cone; densify the grid")
+    k = min(int(np.searchsorted(rs, rq)), len(hull) - 1)
+    if rq >= rs[k]:  # on a vertex, or within RAY_RTOL past the last one
+        terms = ((hull[k], 1.0),)
+    else:
+        lo, hi = hull[k - 1], hull[k]
+        mu = (rq - r[lo]) / (r[hi] - r[lo])
+        terms = ((lo, 1.0 - mu), (hi, mu))
+    value = mass * sum(m * h[i] for i, m in terms)
+    active = tuple((i, float(mass * m / sums[i])) for i, m in terms)
+    return EnvelopeQuery(x, float(value), active)

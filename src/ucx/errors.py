@@ -18,11 +18,7 @@ class NonFiniteError(UcxError):
 
 
 class InfeasibleError(UcxError):
-    """The LP has no feasible point (query outside the sampled hull)."""
-
-
-class UnboundedError(UcxError):
-    """The LP objective has no finite maximum over the feasible set."""
+    """A query lies outside the cone or outside the sampled part of it."""
 
 
 class NegativeCoordinateError(UcxError):
@@ -35,10 +31,6 @@ class OutOfRangeError(UcxError):
 
 class WrongRegimeError(UcxError):
     """Operation called with an exponent from the wrong regime."""
-
-
-class PartitionMismatchError(UcxError):
-    """Two step functions do not share the same atom weights."""
 
 
 class InfeasibleStartError(UcxError):

@@ -36,8 +36,6 @@ class SStar:
     """Solution of 2 eps^(-p) = s + g(s) together with its residual."""
 
     s_star: float
-    eps: float
-    p: float
     residual: float
 
 
@@ -113,7 +111,7 @@ def solve_s_star(p: float, eps: float) -> SStar:
         raise WrongRegimeError(f"s* path applies for 1 < p <= 2, got p={p}")
     s = max((math.exp(_log_u(p, eps)) / eps + 0.5) ** p, 2.0**-p)
     g = abs(1.0 - s ** (1.0 / p)) ** p
-    return SStar(s, eps, p, abs(s + g - 2.0 * eps ** (-p)))
+    return SStar(s, abs(s + g - 2.0 * eps ** (-p)))
 
 
 def delta_via_s_star(p: float, eps: float) -> float:

@@ -5,12 +5,17 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
+from ucx.bellman import WEIGHT_TOL
 from ucx.domain import FACE_TOL, LambdaPoint, check_exponent, check_theta, contains, face_value
-from ucx.errors import OutOfRangeError, UcxError
+from ucx.errors import DomainError, OutOfRangeError, UcxError
 
 
 class NotOnBoundaryError(UcxError):
     """Boundary data requested at a point not on the cone boundary."""
+
+
+class PartitionMismatchError(UcxError):
+    """Two step functions do not share the same atom weights."""
 
 
 def central_diff(fn, s: float, h: float) -> float:
@@ -111,3 +116,44 @@ def delta_mpmath(p, eps):
             else:
                 hi = mid
         return (lo + hi) / 2
+
+
+@dataclass(frozen=True)
+class StepFunction:
+    """One marginal of a step pair: atoms of (weight, value), floats or
+    equal-shape arrays holding one function per element."""
+
+    atoms: tuple[tuple[float, float], ...]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.array([a for a, _ in self.atoms])
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.array([v for _, v in self.atoms])
+
+
+def hanner_gap(f_fn: StepFunction, g_fn: StepFunction, p: float):
+    """Two-function inequality gap on a shared partition.
+
+    Returns ||f+g||^p + ||f-g||^p - (||f||+||g||)^p - | ||f||-||g|| |^p,
+    which is >= 0 for p in [1, 2] and <= 0 for p >= 2 (equality at p = 2 by
+    the parallelogram law).  p = 1 is admitted here, unlike the rest of the
+    cone geometry.  A float for float atoms; for array atoms, an array of
+    the gaps of the pairs element by element.
+    """
+    if not p >= 1.0:
+        raise DomainError(f"the inequality is stated for p >= 1, got {p!r}")
+    aw, bw = f_fn.weights, g_fn.weights
+    if aw.shape != bw.shape or np.abs(aw - bw).max() > WEIGHT_TOL:
+        raise PartitionMismatchError("marginals do not share atom weights")
+    fv, gv = f_fn.values, g_fn.values
+
+    def norm(vals: np.ndarray) -> np.ndarray:
+        return (aw * np.abs(vals) ** p).sum(axis=0) ** (1.0 / p)
+
+    lhs = norm(fv + gv) ** p + norm(fv - gv) ** p
+    nf, ng = norm(fv), norm(gv)
+    gap = lhs - ((nf + ng) ** p + np.abs(nf - ng) ** p)
+    return float(gap) if gap.ndim == 0 else gap

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from anchors import DELTA_P15_E1, S_STAR_P15_E1
-from helpers import boundary_profile, slice_lower_bound, slice_point
-from ucx.bellman import SearchBudget, StepFunction, brute_force_bellman, hanner_gap, witness_test
+from helpers import StepFunction, boundary_profile, hanner_gap, slice_lower_bound, slice_point
+from ucx.bellman import SearchBudget, brute_force_bellman, witness_test
 from ucx.certificates import certificate_ge2, certificate_lt2, sharpness_check, verify_appendix
 from ucx.cli import main as cli_main
 from ucx.domain import LambdaPoint
@@ -127,7 +127,7 @@ def test_criterion_5_sandwich_reconstruction():
     with Stopwatch(60.0) as sw:
         # envelope vs certificate along the slice, p = 4
         cert4 = certificate_ge2(4.0)
-        grid4 = sample_boundary(4.0, 0.5, 60)
+        grid4 = sample_boundary(4.0, 60)
         for x3 in np.linspace(0.0, 2.0**4, 25):
             x = LambdaPoint(1.0, 1.0, float(x3))
             env = concavify(grid4, x).result
@@ -136,7 +136,7 @@ def test_criterion_5_sandwich_reconstruction():
 
         # envelope at the query point, p = 1.5
         cert15 = certificate_lt2(1.5, 1.0)
-        grid15 = sample_boundary(1.5, 0.5, 60)
+        grid15 = sample_boundary(1.5, 60)
         x = LambdaPoint(1.0, 1.0, 1.0)
         env = concavify(grid15, x).result
         cv = cert15.value(x)

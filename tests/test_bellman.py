@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from anchors import HANNER_HALF_MASS_P15
-from helpers import boundary_value
+from helpers import PartitionMismatchError, StepFunction, boundary_value, hanner_gap
 from ucx import bellman
 from ucx.bellman import (
     MOMENT_RTOL,
     SearchBudget,
-    StepFunction,
     StepPair,
     brute_force_batch,
     brute_force_bellman,
     format_witness,
-    hanner_gap,
     moment,
     payoff,
     witness_test,
@@ -20,7 +18,7 @@ from ucx.bellman import (
 from ucx.certificates import certificate_ge2, certificate_lt2
 from ucx.cli import main as cli_main
 from ucx.domain import BoundaryFace, LambdaPoint, contains
-from ucx.errors import DomainError, InfeasibleStartError, NoFeasiblePairError, PartitionMismatchError
+from ucx.errors import DomainError, InfeasibleStartError, NoFeasiblePairError
 
 
 def pair(*atoms):

@@ -215,6 +215,19 @@ class TestEnvelope:
         assert code == 1 and len(parse_csv(out)) == 5
         assert err.count("sandwich violation") == 5
 
+    @pytest.mark.parametrize("p, column", [
+        ("60", [1.0, 0.75, 0.5, 0.25, 0.0]),
+        ("500", [1.0, 0.5, 0.0]),
+        ("560", [1.0, 0.5, 0.0]),
+    ])
+    def test_large_p_envelope_is_the_line(self, p, column):
+        # for p >= 2 the slice value is 1 - x3 / 2^p; the boundary samples'
+        # x3 per unit of x1 + x2 spans [0, 2^(p-1)]
+        code, out, err = run_cli(["envelope", "--p", p, "--grid-n", str(len(column))])
+        assert code == 0 and err == ""
+        got = [float(r["envelope"]) for r in parse_csv(out)]
+        assert got == pytest.approx(column, abs=1e-12)
+
     def test_missing_eps_exit_2(self):
         code, _, err = run_cli(["envelope", "--p", "1.5"])
         assert code == 2 and "epsilon required" in err
@@ -295,6 +308,15 @@ class TestBadInputsExit2:
             code, out, err = run_cli(["bruteforce", "--p", p, "--x", x])
         assert code == 2 and out == ""
         assert err.startswith("ucx: ") and err.count("\n") == 1
+
+    def test_witness_scale_overflow(self):
+        # the search runs at max(x) = 1; scaling its witness back to x3 = 2^579
+        # overflows float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["envelope", "--p", "580", "--grid-n", "3"])
+        assert code == 2 and out == ""
+        assert err.startswith("ucx: ") and "overflows" in err and err.count("\n") == 1
 
     def test_table_keeps_large_p(self):
         code, out, _ = run_cli(["table", "--p", "2000", "--eps", "1"])

@@ -12,17 +12,17 @@ from ucx.errors import DomainError, InfeasibleError
 
 @pytest.fixture(scope="module")
 def grid_p4():
-    return sample_boundary(4.0, 0.5, 24)
+    return sample_boundary(4.0, 24)
 
 
 @pytest.fixture(scope="module")
 def grid_p2():
-    return sample_boundary(2.0, 0.5, 24)
+    return sample_boundary(2.0, 24)
 
 
 @pytest.fixture(scope="module")
 def grid_p15():
-    return sample_boundary(1.5, 0.5, 40)
+    return sample_boundary(1.5, 40)
 
 
 def slice_values(grid, x3s):
@@ -32,7 +32,7 @@ def slice_values(grid, x3s):
 class TestSampleBoundary:
     def test_minimal_grid(self):
         # two samples on each of the three faces, plus the face-3 midpoint
-        assert len(sample_boundary(2.0, 0.5, 2)) == 7
+        assert len(sample_boundary(2.0, 2)) == 7
 
     def test_all_points_on_boundary(self, grid_p4):
         for pt in grid_p4.points:
@@ -56,7 +56,7 @@ class TestSampleBoundary:
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
-            sample_boundary(2.0, 0.5, 1)
+            sample_boundary(2.0, 1)
 
 
 class TestConcavify:
@@ -74,10 +74,15 @@ class TestConcavify:
         assert q.result == pytest.approx(15.0 / 16.0, abs=1e-9)
 
     def test_active_support_caratheodory(self, grid_p4):
-        q = concavify(grid_p4, LambdaPoint(1.0, 1.0, 1.0))
-        assert 1 <= len(q.active_weights) <= 3
-        recon = sum(w * grid_p4.points[i] for i, w in q.active_weights)
-        np.testing.assert_allclose(recon, [1.0, 1.0, 1.0], atol=1e-8)
+        for x3 in [1.0, 2.5, 7.0]:
+            q = concavify(grid_p4, LambdaPoint(1.0, 1.0, x3))
+            assert 1 <= len(q.active_weights) <= 2
+            # each sample enters averaged with its x1 <-> x2 mirror
+            recon = sum(w * grid_p4.points[i] for i, w in q.active_weights)
+            recon = [(recon[0] + recon[1]) / 2, (recon[0] + recon[1]) / 2, recon[2]]
+            np.testing.assert_allclose(recon, [1.0, 1.0, x3], rtol=1e-14)
+            value = sum(w * grid_p4.values[i] for i, w in q.active_weights)
+            assert value == pytest.approx(q.result, rel=1e-14)
 
     def test_lt2_chord_midpoint(self, grid_p15):
         q = concavify(grid_p15, LambdaPoint(1.0, 1.0, 1.0))
@@ -89,18 +94,44 @@ class TestConcavify:
         eps = 2.0 * 0.5 ** (1.0 / p)
         x = LambdaPoint(1.0, 1.0, eps**p)
         cert = certificate_lt2(p, eps).value(x)
-        env = concavify(sample_boundary(p, 0.5, 24), x).result
+        env = concavify(sample_boundary(p, 24), x).result
         assert cert - 5e-3 <= env <= cert + 1e-9
 
-    def test_outside_hull_infeasible(self, grid_p2):
-        with pytest.raises(InfeasibleError):
-            concavify(grid_p2, LambdaPoint(1000.0, 1.0, 1.0))
+    def test_outside_hull_infeasible(self):
+        # without the face-3 midpoint an even grid misses the antipodal ray,
+        # so the end of the slice is in the cone but outside the sampled cone
+        full = sample_boundary(2.0, 8)
+        np.testing.assert_allclose(full.points[8], [0.25, 0.25, 1.0])
+        grid = ObstacleGrid(np.delete(full.points, 8, axis=0), np.delete(full.values, 8))
+        assert concavify(grid, LambdaPoint(1.0, 1.0, 3.0)).result >= 0.25 - 1e-12
+        with pytest.raises(InfeasibleError, match="sampled cone"):
+            concavify(grid, LambdaPoint(1.0, 1.0, 3.99))
+
+    def test_off_slice_query_rejected(self, grid_p2):
+        for x in [LambdaPoint(1000.0, 1.0, 1.0), LambdaPoint(0.5, 1.0, 0.8)]:
+            with pytest.raises(DomainError):
+                concavify(grid_p2, x)
 
     def test_majorizes_obstacle_at_samples(self, grid_p2):
+        # a sample averaged with its mirror lies on the slice, with the same
+        # payoff at theta = 1/2
         idx = np.linspace(0, len(grid_p2) - 1, 29, dtype=int)
         for i in idx:
-            q = concavify(grid_p2, LambdaPoint(*grid_p2.points[i]))
-            assert q.result >= grid_p2.values[i] - 1e-9
+            a, b, c = grid_p2.points[i]
+            q = concavify(grid_p2, LambdaPoint((a + b) / 2, (a + b) / 2, c))
+            assert q.result >= grid_p2.values[i] - 1e-12
+
+    def test_two_point_hull_interpolation(self):
+        # samples (1, 1, 0) with payoff 1 and (1/4, 1/4, 1) with payoff 0 at
+        # p = 2: the hand solution at (1, 1, 2) is half of each ray
+        grid = ObstacleGrid(np.array([[1.0, 1.0, 0.0], [0.25, 0.25, 1.0]]), np.array([1.0, 0.0]))
+        q = concavify(grid, LambdaPoint(1.0, 1.0, 2.0))
+        assert q.result == 0.5
+        assert q.active_weights == ((0, 0.5), (1, 2.0))
+
+    def test_deterministic(self, grid_p15):
+        x = LambdaPoint(1.0, 1.0, 1.7)
+        assert concavify(grid_p15, x) == concavify(grid_p15, x)
 
     def test_concavity_between_queries(self, grid_p4):
         u, v = LambdaPoint(1.0, 1.0, 0.5), LambdaPoint(1.0, 1.0, 3.0)
@@ -113,8 +144,8 @@ class TestConcavify:
         cases = [
             (grid_p4, LambdaPoint(1.0, 1.0, 1.0)),
             (grid_p15, LambdaPoint(1.0, 1.0, 1.0)),
-            (grid_p15, LambdaPoint(0.5, 1.0, 0.8)),
-            (grid_p15, LambdaPoint(2.0, 0.5, 1.5)),
+            (grid_p15, LambdaPoint(0.5, 0.5, 0.8)),
+            (grid_p15, LambdaPoint(2.0, 2.0, 1.5)),
         ]
         for grid, x in cases:
             base = concavify(grid, x).result
@@ -123,12 +154,10 @@ class TestConcavify:
                 assert concavify(grid, y).result == pytest.approx(lam * base, rel=1e-12)
 
     def test_refinement_never_decreases(self, grid_p2):
-        coarse = sample_boundary(2.0, 0.5, 8)
+        coarse = sample_boundary(2.0, 8)
         refined = ObstacleGrid(
             np.vstack([coarse.points, grid_p2.points]),
             np.concatenate([coarse.values, grid_p2.values]),
-            coarse.p,
-            coarse.theta,
         )
         for x3 in [0.5, 1.5, 3.0]:
             x = LambdaPoint(1.0, 1.0, x3)
@@ -147,13 +176,35 @@ class TestEnvelopeSlice:
         vals = slice_values(grid_p4, np.linspace(0.0, 16.0, 15))
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
-    def test_boundary_pin_at_right_end(self, grid_p4):
+    def test_boundary_pin_at_right_end(self, grid_p4, grid_p15):
         assert slice_values(grid_p4, [2.0**4])[0] == pytest.approx(0.0, abs=1e-9)
+        # the CLI's last row at p = 1.5 lands 2 units of rounding past the
+        # ray of the sample (0.5**p, 0.5**p, 1), and is still answered
+        x3 = 4 * 2.0**1.5 / 4
+        assert x3 / 2 > 1 / (2 * 0.5**1.5)
+        assert slice_values(grid_p15, [x3])[0] == 0.0
 
     def test_range_validation(self, grid_p2):
         # past x3 = 2^p the segment leaves the cone, so no conic combination hits it
         with pytest.raises(InfeasibleError):
             slice_values(grid_p2, [5.0])
+
+
+class TestHighsOracle:
+    """The slice hull against the full 3-row conic LP over the same samples."""
+
+    def test_slice_matches_conic_lp(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        for p in [1.02, 1.25, 1.5, 1.75, 2.0, 3.0, 4.0, 8.0]:
+            for n_per_face in [24, 60]:
+                grid = sample_boundary(p, n_per_face)
+                for x3 in np.linspace(0.0, 2.0**p, 25):
+                    x = LambdaPoint(1.0, 1.0, float(x3))
+                    ref = linprog(-grid.values, A_eq=grid.points.T, b_eq=x.as_array(),
+                                  bounds=(0, None), method="highs")
+                    assert ref.status == 0, (p, n_per_face, x3, ref.message)
+                    got = concavify(grid, x).result
+                    assert got == pytest.approx(-ref.fun, abs=1e-9), (p, n_per_face, x3)
 
 
 class TestSandwich:

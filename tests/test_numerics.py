@@ -1,13 +1,12 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import central_diff
-from ucx.errors import InfeasibleError, NonFiniteError, NoSignChangeError
-from ucx.numerics import Bracket, LpProblem, bisect_root, solve_lp
+from ucx.errors import NonFiniteError, NoSignChangeError
+from ucx.numerics import Bracket, bisect_root
 
 
 class TestBisect:
@@ -86,72 +85,3 @@ class TestCentralDiff:
             + 16.0 * math.ulp(0.0) / h
         )
         assert abs(central_diff(fn, s, h) - expected) <= bound
-
-
-def _simplex_problem(objective, matrix, rhs):
-    return LpProblem(np.asarray(objective, float), np.asarray(matrix, float), np.asarray(rhs, float))
-
-
-class TestSolveLp:
-    def test_pick_best_vertex(self):
-        w, v = solve_lp(_simplex_problem([0.0, 1.0], [[1.0, 1.0]], [1.0]))
-        assert v == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-12)
-
-    def test_constant_objective_on_simplex(self):
-        _, v = solve_lp(_simplex_problem([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [1.0]))
-        assert v == pytest.approx(1.0, abs=1e-12)
-
-    def test_two_point_hull_interpolation(self):
-        # hull {0, 2} in 1D, query 1, values (0, 4): hand solution w = (1/2, 1/2)
-        prob = _simplex_problem([0.0, 4.0], [[0.0, 2.0], [1.0, 1.0]], [1.0, 1.0])
-        w, v = solve_lp(prob)
-        np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-10)
-        assert v == pytest.approx(2.0, abs=1e-10)
-
-    def test_infeasible_query_outside_hull(self):
-        prob = _simplex_problem([0.0, 1.0], [[0.0, 2.0], [1.0, 1.0]], [3.0, 1.0])
-        with pytest.raises(InfeasibleError):
-            solve_lp(prob)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            LpProblem(np.zeros(2), np.zeros((3, 2)), np.zeros(3))
-
-    def test_vertex_support_and_feasibility(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            n = int(rng.integers(5, 40))
-            k = int(rng.integers(1, 4))
-            a = np.vstack([rng.normal(size=(k, n)), np.ones((1, n))])
-            w0 = rng.dirichlet(np.ones(n))
-            b = a @ w0  # feasible by construction
-            c = rng.normal(size=n)
-            w, v = solve_lp(LpProblem(c, a, b))
-            np.testing.assert_allclose(a @ w, b, atol=1e-9)
-            assert w.min() >= -1e-12
-            assert np.count_nonzero(w > 1e-9) <= k + 1
-            assert v >= c @ w0 - 1e-9  # at least as good as the known point
-
-    def test_matches_scipy_on_random_problems(self):
-        linprog = pytest.importorskip("scipy.optimize").linprog
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            n = int(rng.integers(4, 30))
-            k = int(rng.integers(1, 4))
-            a = np.vstack([rng.normal(size=(k, n)), np.ones((1, n))])
-            b = a @ rng.dirichlet(np.ones(n))
-            c = rng.normal(size=n)
-            _, v = solve_lp(LpProblem(c, a, b))
-            ref = linprog(-c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
-            assert ref.status == 0
-            assert v == pytest.approx(-ref.fun, abs=1e-7)
-
-    def test_deterministic(self):
-        prob = _simplex_problem(
-            [1.0, 2.0, 3.0, 2.0], [[1.0, 0.0, 2.0, 1.0], [1.0, 1.0, 1.0, 1.0]], [1.0, 1.0]
-        )
-        first = solve_lp(prob)
-        second = solve_lp(prob)
-        np.testing.assert_array_equal(first[0], second[0])
-        assert first[1] == second[1]
