@@ -21,8 +21,7 @@ from .bellman import (
 from .certificates import (
     Certificate,
     VerificationReport,
-    certificate_ge2,
-    certificate_lt2,
+    certificate,
     monotonicity_witness,
     sharpness_check,
     verify_appendix,
@@ -47,8 +46,7 @@ __all__ = [
     "bisect_root",
     "brute_force_batch",
     "brute_force_bellman",
-    "certificate_ge2",
-    "certificate_lt2",
+    "certificate",
     "concavify",
     "contains",
     "delta",

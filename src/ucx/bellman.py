@@ -14,12 +14,13 @@ against the computed sharp constant.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certificates import VerificationReport
-from .domain import BoundaryFace, LambdaPoint, check_exponent, check_theta, contains
+from .domain import BoundaryFace, LambdaPoint, check_eps, check_exponent, check_theta, contains
 from .errors import DomainError, InfeasibleStartError, NoFeasiblePairError, NonFiniteError
 from .moduli import delta
 
@@ -30,6 +31,9 @@ WEIGHT_TOL = 1e-12
 ATOM_COUNT = 3
 #: atoms per random pair in ``witness_test``
 WITNESS_ATOMS = 4
+#: largest exponent ``witness_test`` takes: a normalized atom of weight w has
+#: |f|^p, |g|^p <= 1/w, so |f - g|^p <= 2^p / w, and every weight is above 0.05/4
+WITNESS_P_MAX = math.log2(0.0125 * sys.float_info.max)
 #: relative bound on a solved pair's moment error: 64 units of float64
 #: rounding, room for the 3x3 solve and the moment sums
 MOMENT_RTOL = 64 * 2.0**-53
@@ -105,8 +109,8 @@ class SearchBudget:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1 or self.local_steps < 1:
-            raise DomainError(f"budget fields must be positive: {self}")
+        if self.restarts < 1 or self.local_steps < 1 or self.seed < 0:
+            raise DomainError(f"a search budget needs restarts, local_steps >= 1 and seed >= 0: {self}")
 
 
 @dataclass(frozen=True)
@@ -338,10 +342,11 @@ def witness_test(p: float, eps: float, trials: int, seed: int) -> VerificationRe
     the largest midpoint norm observed among survivors.
     """
     p = check_exponent(p)
-    if not (0.0 < eps <= 2.0):
-        raise DomainError(f"eps must lie in (0, 2], got {eps!r}")
-    if trials < 1:
-        raise DomainError(f"trials must be positive, got {trials}")
+    if not p <= WITNESS_P_MAX:
+        raise DomainError(f"witness moments overflow float64 past p={WITNESS_P_MAX:.1f}, got p={p!r}")
+    eps = check_eps(eps, allow_zero=False)
+    if trials < 1 or seed < 0:
+        raise DomainError(f"witness_test needs trials >= 1 and seed >= 0, got {trials}, {seed}")
     bound = 1.0 - delta(p, eps) + 1e-9
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import LambdaPoint, check_exponent, section_parameter, section_profile
+from .domain import LambdaPoint, check_eps, check_exponent, section_parameter, section_profile
 from .errors import DomainError, OutOfRangeError, WrongRegimeError
 from .moduli import solve_s_star
 
@@ -61,15 +61,26 @@ class VerificationReport:
         )
 
 
-def certificate_ge2(p: float) -> Certificate:
-    """The p >= 2 certificate (x1 + x2)/2 - x3/2^p."""
+def certificate(p: float, eps: float | None = None) -> Certificate:
+    """The certificate of the query (1, 1, eps^p), for the regime of p.
+
+    p >= 2: the plane (x1 + x2)/2 - x3/2^p, whatever the eps.  1 < p < 2:
+    the tangent plane at s*, which needs eps in (0, 2).  A given eps must
+    lie in (0, 2] in both regimes.
+    """
     p = check_exponent(p)
-    if p < 2.0:
-        raise WrongRegimeError(f"GE2 certificate requires p >= 2, got p={p}")
-    return Certificate((0.5, 0.5, -(2.0 ** (-p))))
+    if eps is not None:
+        eps = check_eps(eps, allow_zero=False)
+    if p >= 2.0:
+        return Certificate((0.5, 0.5, -(2.0 ** (-p))))
+    if eps is None:
+        raise DomainError("epsilon required for p<2")
+    if eps == 2.0:
+        raise DomainError(f"the p < 2 certificate needs eps in (0, 2), got {eps!r}")
+    return _tangent_certificate(p, eps)
 
 
-def certificate_lt2(p: float, eps: float) -> Certificate:
+def _tangent_certificate(p: float, eps: float) -> Certificate:
     """The 1 < p < 2 certificate, tangent to the boundary payoff at s*.
 
     The tangency point on the compact section, scaled to first root 1, has
@@ -80,11 +91,6 @@ def certificate_lt2(p: float, eps: float) -> Certificate:
     of size s*.  b - 1 is expm1((p-1) log1p(-w)) for w < 1 (s* > 1) and
     -1 - (w - 1)**(p-1) from w = 1 on.
     """
-    p = check_exponent(p)
-    if not (p < 2.0):
-        raise WrongRegimeError(f"LT2 certificate requires 1 < p < 2, got p={p}")
-    if not (0.0 < eps < 2.0):
-        raise DomainError(f"the p < 2 certificate needs eps in (0, 2), got {eps!r}")
     s_star = solve_s_star(p, eps).s_star
     w = s_star ** (-1.0 / p)
     if w < 1.0:
@@ -162,9 +168,7 @@ def verify_appendix(
     if grid_n < 3:
         raise DomainError(f"grid_n must be at least 3, got {grid_n}")
     ge2 = p >= 2.0
-    if not ge2 and eps is None:
-        raise DomainError("eps is required for 1 < p < 2")
-    cert = certificate_ge2(p) if ge2 else certificate_lt2(p, float(eps))
+    cert = certificate(p, eps)
 
     tau = np.linspace(0.0, 1.0, 2 * grid_n - 1)
     x, f, fp, gp = section_profile(tau, p)
@@ -221,21 +225,18 @@ def sharpness_check(p: float, eps: float | None = None, n_chord: int = 1001) -> 
 
     p >= 2: the chord joins the antipodal point (2^-p, 2^-p, 1), payoff 0,
     to (1, 1, 0), payoff 1.  Its cone is all of the cone's plane x1 = x2, so
-    the query ray meets it at every eps, and eps is not used.
+    the query ray meets it at every eps in (0, 2].
     """
     p = check_exponent(p)
     if n_chord < 2:
         raise DomainError(f"n_chord must be at least 2, got {n_chord}")
     t = np.linspace(0.0, 1.0, n_chord)
+    cert = certificate(p, eps)
     if p < 2.0:
-        if eps is None:
-            raise DomainError("eps is required for 1 < p < 2")
-        cert = certificate_lt2(p, eps)
         x, f, _, _ = section_profile(section_parameter(cert.s_star, p), p)
         ends, payoffs = np.array([x, x[[1, 0, 2]]]), np.array([f, f])
         on_ray = solve_s_star(p, eps).residual <= 1e-12 * 2.0 * eps ** (-p)
     else:
-        cert = certificate_ge2(p)
         ends, payoffs, _, _ = section_profile(np.array([0.0, 1.0]), p)
         on_ray = True
     pts = np.outer(1.0 - t, ends[0]) + np.outer(t, ends[1])

@@ -23,8 +23,8 @@ from .errors import UcxError
 from .moduli import delta, delta_implicit
 
 
-class UsageError(Exception):
-    pass
+class UsageError(UcxError):
+    """A command line the CLI itself cannot act on."""
 
 
 def _parse_eps_grid(text: str) -> list[float]:
@@ -46,28 +46,18 @@ def _parse_eps_grid(text: str) -> list[float]:
 
 
 def _check_args(args) -> None:
-    """Checks every subcommand shares: finite float options, a nonnegative seed."""
+    """Every float option must be finite; the library checks the rest of its inputs."""
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value!r}")
-    if getattr(args, "seed", 0) < 0:
-        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
 
 
-def _check_common(p: float, eps_values: list[float]) -> None:
-    if not p > 1.0:
-        raise UsageError(f"p must exceed 1, got {p}")
-    for e in eps_values:
-        if not (0.0 <= e <= 2.0):
-            raise UsageError(f"eps must lie in [0, 2], got {e}")
-
-
-def _check_scale(p: float, eps: float | None) -> None:
-    """The slice rows and scans need 2**p and eps**(-p) as finite floats."""
+def _check_scale(p: float) -> None:
+    """The slice rows and scans need 2**p as a finite float."""
     try:
-        2.0**p, (1.0 if eps is None else eps ** (-p))
+        2.0**p
     except OverflowError:
-        raise UsageError(f"p={p!r} is too large: 2**p or eps**(-p) overflows") from None
+        raise UsageError(f"p={p!r} is too large: 2**p overflows") from None
 
 
 def _write_output(path: str, text: str) -> None:
@@ -92,11 +82,9 @@ def _emit_rows(rows: list[dict], fields: list[str], fmt: str) -> str:
 
 
 def cmd_table(args) -> int:
-    eps_values = _parse_eps_grid(args.eps)
-    _check_common(args.p, eps_values)
     p = args.p
     rows = []
-    for e in eps_values:
+    for e in _parse_eps_grid(args.eps):
         d = delta(p, e)
         route = "closed_form" if p >= 2.0 else "s_star"
         # the implicit equation holds for p <= 2 only; past 2 there is nothing to cross-check
@@ -110,39 +98,29 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    eps = args.eps
-    if args.p < 2.0 and eps is None:
-        raise UsageError("epsilon required for p<2")
-    _check_common(args.p, [] if eps is None else [eps])
-    if eps is not None and eps == 0.0:
-        raise UsageError("eps must be positive for verification scans")
-    _check_scale(args.p, eps)
-    reports = certificates.verify_appendix(args.p, eps, args.grid_n)
-    reports.append(certificates.sharpness_check(args.p, eps, args.n_chord))
-    if args.trials > 0 and eps is not None:
-        reports.append(bellman.witness_test(args.p, eps, args.trials, args.seed))
+    _check_scale(args.p)
+    reports = certificates.verify_appendix(args.p, args.eps, args.grid_n)
+    reports.append(certificates.sharpness_check(args.p, args.eps, args.n_chord))
+    if args.trials > 0 and args.eps is not None:
+        reports.append(bellman.witness_test(args.p, args.eps, args.trials, args.seed))
     _write_output(args.output, "".join(r.line() + "\n" for r in reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_envelope(args) -> int:
-    _check_common(args.p, [] if args.eps is None else [args.eps])
     p = args.p
-    if p < 2.0:
-        if args.eps is None:
-            raise UsageError("epsilon required for p<2")
-        if args.eps == 0.0:
-            raise UsageError("eps must be positive for the p<2 certificate")
-        _check_scale(p, args.eps)
-        cert = certificates.certificate_lt2(p, args.eps)
-    else:
-        _check_scale(p, None)
-        cert = certificates.certificate_ge2(p)
+    _check_scale(p)
+    cert = certificates.certificate(p, args.eps)
     if args.grid_n < 2:
         raise UsageError(f"grid-n must be at least 2, got {args.grid_n}")
+    points = [LambdaPoint(1.0, 1.0, i * (2.0**p) / (args.grid_n - 1)) for i in range(args.grid_n)]
+    # near p = 1023, i * 2**p overflows before the division; the order
+    # 2**p * (i / (n - 1)) would move x3 by an ulp in many finite rows
+    over = [i for i, point in enumerate(points) if math.isinf(point.x3)]
+    if over:
+        raise UsageError(f"x3 = i 2**p / (grid-n - 1) overflows at p={p!r} for the slice rows i >= {over[0]}")
     grid = envelope.sample_boundary(p, args.n_per_face)
     budget = bellman.SearchBudget(args.restarts, args.local_steps, args.seed)
-    points = [LambdaPoint(1.0, 1.0, i * (2.0**p) / (args.grid_n - 1)) for i in range(args.grid_n)]
     rows = [
         {"x3": point.x3, "envelope": envelope.concavify(grid, point).result, "certificate": cert.value(point)}
         for point in points
@@ -175,10 +153,6 @@ def cmd_bruteforce(args) -> int:
         raise UsageError(f"malformed point {args.x!r}") from e
     if not all(math.isfinite(v) for v in coords):
         raise UsageError(f"moment coordinates must be finite, got {args.x!r}")
-    if min(coords) < 0.0:
-        raise UsageError(f"moment coordinates must be nonnegative, got {args.x!r}")
-    if not args.p > 1.0:
-        raise UsageError(f"p must exceed 1, got {args.p}")
     try:  # the search's largest moment is about (4 * max root)**p = 4**p * max(x)
         top = 4.0**args.p * max(coords)
     except OverflowError:
@@ -192,8 +166,14 @@ def cmd_bruteforce(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Report a malformed command line in one line, as every other usage error."""
+        self.exit(2, f"ucx: {message} (see {self.prog} --help)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ucx",
         description="Sharp modulus of uniform convexity of L^p with numerical certification.",
     )
@@ -252,9 +232,6 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         return args.fn(args)
-    except UsageError as e:
-        print(f"ucx: {e}", file=sys.stderr)
-        return 2
     except UcxError as e:
         print(f"ucx: {e}", file=sys.stderr)
         return 2

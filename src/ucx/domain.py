@@ -32,6 +32,14 @@ def check_exponent(p: float) -> float:
     return float(p)
 
 
+def check_eps(eps: float | None, allow_zero: bool = True) -> float:
+    """Validate eps in [0, 2], or in (0, 2] without ``allow_zero``."""
+    lo_ok = eps is not None and (eps >= 0.0 if allow_zero else eps > 0.0)
+    if not (lo_ok and math.isfinite(eps) and eps <= 2.0):
+        raise DomainError(f"eps must lie in {'[0, 2]' if allow_zero else '(0, 2]'}, got {eps!r}")
+    return float(eps)
+
+
 def check_theta(theta: float) -> float:
     if not (math.isfinite(theta) and 0.0 <= theta <= 1.0):
         raise DomainError(f"theta must lie in [0, 1], got {theta!r}")
@@ -71,8 +79,8 @@ class LambdaPoint:
 
 
 def _roots(x: LambdaPoint, p: float) -> tuple[float, float, float]:
-    if min(x.x1, x.x2, x.x3) < 0.0:
-        raise NegativeCoordinateError(f"negative moment coordinate in {x}")
+    if not all(math.isfinite(c) and c >= 0.0 for c in (x.x1, x.x2, x.x3)):
+        raise NegativeCoordinateError(f"moment coordinates must be finite and nonnegative, got {x}")
     inv = 1.0 / p
     return (x.x1**inv, x.x2**inv, x.x3**inv)
 

@@ -22,7 +22,7 @@ class InfeasibleError(UcxError):
 
 
 class NegativeCoordinateError(UcxError):
-    """Moment coordinates must be nonnegative."""
+    """Moment coordinates must be finite and nonnegative."""
 
 
 class OutOfRangeError(UcxError):

@@ -19,16 +19,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .domain import check_exponent
+from .domain import check_eps, check_exponent
 from .errors import DomainError, WrongRegimeError
 from .numerics import Bracket, bisect_root
-
-
-def _check_eps(eps: float, allow_zero: bool = True) -> float:
-    lo_ok = eps >= 0.0 if allow_zero else eps > 0.0
-    if not (math.isfinite(eps) and lo_ok and eps <= 2.0):
-        raise DomainError(f"eps must lie in {'[0, 2]' if allow_zero else '(0, 2]'}, got {eps!r}")
-    return float(eps)
 
 
 @dataclass(frozen=True)
@@ -46,7 +39,7 @@ def delta_closed_form(p: float, eps: float) -> float:
     accuracy when (eps/2)**p is below the float64 epsilon; eps = 2 is exact.
     """
     p = check_exponent(p)
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     if p < 2.0:
         raise WrongRegimeError(f"closed form requires p >= 2, got p={p}")
     if eps == 2.0:
@@ -103,15 +96,22 @@ def solve_s_star(p: float, eps: float) -> SStar:
 
     s* = ((1 - delta)/eps + 1/2)**p in closed form, clamped at 2**(-p), with
     log(1 - delta) from the root solve behind ``delta_via_s_star``; that is
-    good to a few ulp of s.  Also usable at p = 2 for cross-checks.
+    good to a few ulp of s.  Also usable at p = 2 for cross-checks.  An
+    eps so small that 2 eps^(-p) overflows float64 has no s* to return.
     """
     p = check_exponent(p)
-    eps = _check_eps(eps, allow_zero=False)
+    eps = check_eps(eps, allow_zero=False)
     if p > 2.0:
         raise WrongRegimeError(f"s* path applies for 1 < p <= 2, got p={p}")
+    try:
+        target = 2.0 * eps ** (-p)
+    except OverflowError:
+        target = math.inf
+    if not math.isfinite(target):
+        raise DomainError(f"2 eps^(-p) overflows float64 at p={p!r}, eps={eps!r}")
     s = max((math.exp(_log_u(p, eps)) / eps + 0.5) ** p, 2.0**-p)
     g = abs(1.0 - s ** (1.0 / p)) ** p
-    return SStar(s, abs(s + g - 2.0 * eps ** (-p)))
+    return SStar(s, abs(s + g - target))
 
 
 def delta_via_s_star(p: float, eps: float) -> float:
@@ -121,7 +121,7 @@ def delta_via_s_star(p: float, eps: float) -> float:
     s*, so it keeps full relative accuracy as eps -> 0.
     """
     p = check_exponent(p)
-    eps = _check_eps(eps, allow_zero=False)
+    eps = check_eps(eps, allow_zero=False)
     if not (p < 2.0):
         raise WrongRegimeError(f"s* route requires 1 < p < 2, got p={p}")
     return 0.0 - math.expm1(_log_u(p, eps))  # 0.0 - 0.0 is +0.0
@@ -135,7 +135,7 @@ def delta_implicit(p: float, eps: float, tol: float = 1e-13) -> float:
     returned exactly.
     """
     p = check_exponent(p)
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     if p > 2.0:
         raise WrongRegimeError(f"implicit equation requires 1 < p <= 2, got p={p}")
     if eps == 0.0:
@@ -155,7 +155,7 @@ def delta(p: float, eps: float) -> float:
     eps = 0 short-circuits to 0 (the s* equation degenerates there).
     """
     p = check_exponent(p)
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     if eps == 0.0:
         return 0.0
     if p >= 2.0:

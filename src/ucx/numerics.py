@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NonFiniteError, NoSignChangeError
+from .errors import DomainError, NonFiniteError, NoSignChangeError
 
 Func = Callable[[float], float]
 
@@ -27,9 +27,9 @@ class Bracket:
 
     def __post_init__(self) -> None:
         if not (self.lo < self.hi):
-            raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
+            raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
         if not (self.tol > 0.0):
-            raise ValueError(f"bracket tolerance must be positive, got {self.tol}")
+            raise DomainError(f"bracket tolerance must be positive, got {self.tol}")
 
 
 def _eval_checked(fn: Func, t: float) -> float:

@@ -14,7 +14,7 @@ import pytest
 from anchors import DELTA_P15_E1, S_STAR_P15_E1
 from helpers import StepFunction, boundary_profile, hanner_gap, slice_lower_bound, slice_point
 from ucx.bellman import SearchBudget, brute_force_bellman, witness_test
-from ucx.certificates import certificate_ge2, certificate_lt2, sharpness_check, verify_appendix
+from ucx.certificates import certificate, sharpness_check, verify_appendix
 from ucx.cli import main as cli_main
 from ucx.domain import LambdaPoint
 from ucx.envelope import concavify, sample_boundary
@@ -111,12 +111,12 @@ def test_criterion_4_sharpness():
             assert rep.passed and rep.worst_value <= 1e-10
 
         # both certificates touch their anchor points
-        ge2 = certificate_ge2(3.0)
+        ge2 = certificate(3.0)
         assert abs(ge2.value(LambdaPoint(1.0, 1.0, 2.0**3))) <= 1e-10
         smin = slice_lower_bound(3.0)
         assert abs(ge2.value(LambdaPoint(smin, smin, 1.0))) <= 1e-10
         assert abs(ge2.value(LambdaPoint(1.0, 1.0, 0.0)) - 1.0) <= 1e-10
-        lt2 = certificate_lt2(1.5, 1.0)
+        lt2 = certificate(1.5, 1.0)
         level = boundary_profile(lt2.s_star, 1.5).f
         assert abs(lt2.value(slice_point(lt2.s_star, 1.5)) - level) <= 1e-10
         assert abs(lt2.value(slice_point(lt2.s_star, 1.5, swapped=True)) - level) <= 1e-10
@@ -126,7 +126,7 @@ def test_criterion_4_sharpness():
 def test_criterion_5_sandwich_reconstruction():
     with Stopwatch(60.0) as sw:
         # envelope vs certificate along the slice, p = 4
-        cert4 = certificate_ge2(4.0)
+        cert4 = certificate(4.0)
         grid4 = sample_boundary(4.0, 60)
         for x3 in np.linspace(0.0, 2.0**4, 25):
             x = LambdaPoint(1.0, 1.0, float(x3))
@@ -135,7 +135,7 @@ def test_criterion_5_sandwich_reconstruction():
             assert cv - 5e-3 <= env <= cv + 1e-9, f"x3={x3}: env={env} cert={cv}"
 
         # envelope at the query point, p = 1.5
-        cert15 = certificate_lt2(1.5, 1.0)
+        cert15 = certificate(1.5, 1.0)
         grid15 = sample_boundary(1.5, 60)
         x = LambdaPoint(1.0, 1.0, 1.0)
         env = concavify(grid15, x).result
@@ -144,7 +144,7 @@ def test_criterion_5_sandwich_reconstruction():
 
         # brute force reaches the certificates at (1, 1, eps^p)
         budget = SearchBudget(restarts=200, local_steps=2000, seed=7)
-        for p, eps, cert in [(4.0, 1.0, cert4), (1.5, 1.0, cert15), (2.0, 1.0, certificate_ge2(2.0))]:
+        for p, eps, cert in [(4.0, 1.0, cert4), (1.5, 1.0, cert15), (2.0, 1.0, certificate(2.0))]:
             x = LambdaPoint(1.0, 1.0, eps**p)
             res = brute_force_bellman(x, p, 0.5, budget)
             cv = cert.value(x)

@@ -15,7 +15,7 @@ from ucx.bellman import (
     payoff,
     witness_test,
 )
-from ucx.certificates import certificate_ge2, certificate_lt2
+from ucx.certificates import certificate
 from ucx.cli import main as cli_main
 from ucx.domain import BoundaryFace, LambdaPoint, contains
 from ucx.errors import DomainError, InfeasibleStartError, NoFeasiblePairError
@@ -190,7 +190,7 @@ class TestBruteForce:
         # payoff <= V(m) <= cert(m) = cert(x) + c.(m - x) at the witness's
         # moments m; |m - x| is within the solve's check, doubled for the
         # rounding of the unit-mass rescale
-        cert = certificate_lt2(p, 1.0) if p < 2.0 else certificate_ge2(p)
+        cert = certificate(p, 1.0) if p < 2.0 else certificate(p)
         top = 2.0**p
         for x3 in [0.0, 1e-6, top * (1.0 - 1e-6), top]:
             x = LambdaPoint(1.0, 1.0, x3)
@@ -249,7 +249,7 @@ class TestBruteForce:
 
     def test_lower_bound_against_certificates(self):
         budget = SearchBudget(restarts=24, local_steps=500, seed=1)
-        for p, cert in [(4.0, certificate_ge2(4.0)), (1.5, certificate_lt2(1.5, 1.0))]:
+        for p, cert in [(4.0, certificate(4.0)), (1.5, certificate(1.5, 1.0))]:
             for x3 in [0.5, 1.0, 2.0]:
                 x = LambdaPoint(1.0, 1.0, x3)
                 res = brute_force_bellman(x, p, 0.5, budget)

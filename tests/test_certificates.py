@@ -9,8 +9,8 @@ import pytest
 from anchors import KAPPA_P15_E1, PAYOFF_P15_E1
 from helpers import delta_mpmath, slice_point
 from ucx.certificates import (
-    certificate_ge2,
-    certificate_lt2,
+    Certificate,
+    certificate,
     monotonicity_witness,
     sharpness_check,
     verify_appendix,
@@ -39,46 +39,47 @@ def lt2_coefficients_mpmath(p, eps):
 
 class TestCertificateGe2:
     def test_unit_value(self):
-        assert certificate_ge2(2.0).value(LambdaPoint(1.0, 1.0, 0.0)) == 1.0
+        assert certificate(2.0).value(LambdaPoint(1.0, 1.0, 0.0)) == 1.0
 
     def test_touches_antipodal_point(self):
-        assert certificate_ge2(3.0).value(LambdaPoint(1.0, 1.0, 8.0)) == pytest.approx(0.0, abs=1e-12)
+        assert certificate(3.0).value(LambdaPoint(1.0, 1.0, 8.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_query_point_p4(self):
-        assert certificate_ge2(4.0).value(LambdaPoint(1.0, 1.0, 1.0)) == pytest.approx(
+        assert certificate(4.0).value(LambdaPoint(1.0, 1.0, 1.0)) == pytest.approx(
             15.0 / 16.0, abs=1e-15
         )
 
-    def test_wrong_regime(self):
-        with pytest.raises(WrongRegimeError):
-            certificate_ge2(1.5)
+    def test_dispatch_ignores_eps(self):
+        for eps in [None, 0.5, 2.0]:
+            assert certificate(3.0, eps) == Certificate((0.5, 0.5, -(2.0**-3.0)))
 
 
 class TestCertificateLt2:
     def test_degenerate_eps_two(self):
         # k = f'/(1 + g') grows without bound as eps -> 2: no affine certificate there
-        assert certificate_lt2(1.5, 2.0 - 1e-6).c[0] > 26.0
+        assert certificate(1.5, 2.0 - 1e-6).c[0] > 26.0
         with pytest.raises(DomainError):
-            certificate_lt2(1.5, 2.0)
+            certificate(1.5, 2.0)
 
     def test_anchor_values(self):
-        cert = certificate_lt2(1.5, 1.0)
+        cert = certificate(1.5, 1.0)
         assert cert.c[0] == pytest.approx(KAPPA_P15_E1, abs=1e-10)
         assert cert.value(LambdaPoint(1.0, 1.0, 1.0)) == pytest.approx(PAYOFF_P15_E1, abs=1e-10)
         # the certificate meets the boundary payoff at the touching point
         a = slice_point(cert.s_star, 1.5)
         assert cert.value(a) == pytest.approx(PAYOFF_P15_E1, abs=1e-10)
 
-    def test_wrong_regime_and_eps(self):
-        with pytest.raises(WrongRegimeError):
-            certificate_lt2(2.0, 1.0)
-        with pytest.raises(DomainError):
-            certificate_lt2(1.5, 0.0)
+    def test_dispatch_needs_eps_in_open_interval(self):
+        with pytest.raises(DomainError, match="epsilon required for p<2"):
+            certificate(1.5)
+        for eps in [0.0, 2.0, 2.5]:
+            with pytest.raises(DomainError):
+                certificate(1.5, eps)
 
     @pytest.mark.parametrize("p, eps, c3", [(1.99, 1e-8, -0.205862), (1.3, 1e-8, -1.884e-7)])
     def test_small_eps_c3(self, p, eps, c3):
         # f(s*) - 2 eps^-p k subtracts two numbers of size s* ~ 2e16 here
-        assert certificate_lt2(p, eps).c[2] == pytest.approx(c3, rel=1e-4)
+        assert certificate(p, eps).c[2] == pytest.approx(c3, rel=1e-4)
 
     def test_coefficients_match_mpmath(self):
         rng = random.Random(20140219)
@@ -93,7 +94,7 @@ class TestCertificateLt2:
             p = rng.uniform(1.01, 1.99)
             points.append((p, rng.uniform(2.0 ** (1.0 / p), 2.0 - 1e-3)))
         for p, eps in points:
-            cert = certificate_lt2(p, eps)
+            cert = certificate(p, eps)
             k, c3 = lt2_coefficients_mpmath(p, eps)
             with mpmath.workdps(50):
                 assert abs(cert.c[0] - k) <= 1e-12 * abs(k), (p, eps)
@@ -105,25 +106,25 @@ class TestMajorizationGap:
 
     def test_ge2_left_endpoint(self):
         # the certificate touches the payoff at the antipodal point and at (1, 1, 0)
-        gap = section_gap(certificate_ge2(3.0), np.array([0.0, 1.0]), 3.0)
+        gap = section_gap(certificate(3.0), np.array([0.0, 1.0]), 3.0)
         assert np.abs(gap).max() <= 1e-15
 
     def test_lt2_vanishes_at_s_star(self):
         for p, eps in [(1.5, 1.0), (1.5, 1e-8), (1.99, 1e-8), (1.2, 1.9)]:
-            cert = certificate_lt2(p, eps)
+            cert = certificate(p, eps)
             tau_star = section_parameter(cert.s_star, p)
             assert section_gap(cert, tau_star, p) == pytest.approx(0.0, abs=1e-14)
 
     def test_p2_identically_zero(self):
-        assert np.abs(section_gap(certificate_ge2(2.0), self.TAU, 2.0)).max() <= 1e-15
+        assert np.abs(section_gap(certificate(2.0), self.TAU, 2.0)).max() <= 1e-15
 
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 5.0])
     def test_ge2_nonnegative_on_slice(self, p):
-        assert section_gap(certificate_ge2(p), self.TAU, p).min() >= -1e-15
+        assert section_gap(certificate(p), self.TAU, p).min() >= -1e-15
 
     @pytest.mark.parametrize("p,eps", [(1.2, 0.5), (1.5, 1.0), (1.8, 1.5)])
     def test_lt2_nonnegative_on_slice(self, p, eps):
-        assert section_gap(certificate_lt2(p, eps), self.TAU, p).min() >= -1e-15
+        assert section_gap(certificate(p, eps), self.TAU, p).min() >= -1e-15
 
 
 class TestMonotonicityWitness:

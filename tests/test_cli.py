@@ -318,6 +318,26 @@ class TestBadInputsExit2:
         assert code == 2 and out == ""
         assert err.startswith("ucx: ") and "overflows" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        "table --p 0.9 --eps 1", "table --p 2 --eps 3",
+        "verify --p 1.5", "verify --p 3 --eps 3", "verify --p 3 --eps 0", "verify --p 1.5 --eps 2",
+        "verify --p 1.5 --eps 1e-300", "verify --p 2000 --grid-n 11 --n-chord 11",
+        "envelope --p 1.5", "envelope --p 1.5 --eps 0", "envelope --p 3 --eps 5",
+        "envelope --p 3 --eps 0 --grid-n 3", "envelope --p 1.5 --eps 1e-300",
+        "bruteforce --p 0.5 --x 1,1,1", "bruteforce --p 2 --x -1,1,1", "bruteforce --p 2 --x=-1,1,1",
+        "bruteforce --p 2 --x nan,1,1", "bruteforce --p 2 --x 1,1,1 --seed -1",
+    ])
+    def test_one_line_diagnostic(self, argv):
+        code, out, err = run_cli(argv.split())
+        assert code == 2 and out == ""
+        assert err.startswith("ucx: ") and err.count("\n") == 1
+
+    def test_slice_rows_overflow(self):
+        # 2**1023 is finite, but i * 2**p overflows before the division by grid-n - 1
+        code, out, err = run_cli(["envelope", "--p", "1023", "--grid-n", "3"])
+        assert code == 2 and out == ""
+        assert err.startswith("ucx: ") and "slice rows i >= 2" in err and err.count("\n") == 1
+
     def test_table_keeps_large_p(self):
         code, out, _ = run_cli(["table", "--p", "2000", "--eps", "1"])
         assert code == 0 and float(parse_csv(out)[0]["delta"]) >= 0.0

@@ -1,0 +1,72 @@
+"""The library's input contract: every public entry point returns or raises a UcxError.
+
+A caller that catches ``UcxError`` sees every bad input, whatever the layer
+that rejects it; nothing else escapes (no OverflowError, TypeError or
+numpy ValueError), and no bad input is accepted.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ucx.bellman import SearchBudget, brute_force_bellman, witness_test
+from ucx.certificates import certificate, sharpness_check, verify_appendix
+from ucx.domain import LambdaPoint, contains
+from ucx.envelope import sample_boundary
+from ucx.errors import UcxError
+from ucx.moduli import delta, delta_implicit, solve_s_star
+
+NAN, INF = math.nan, math.inf
+
+
+def _calls(p, eps, x, seed):
+    """Each public entry point at one drawn input, on small grids and budgets."""
+    return {
+        "delta": lambda: delta(p, eps),
+        "delta_implicit": lambda: delta_implicit(p, eps),
+        "solve_s_star": lambda: solve_s_star(p, eps),
+        "certificate": lambda: certificate(p, eps),
+        "verify_appendix": lambda: verify_appendix(p, eps, 11),
+        "sharpness_check": lambda: sharpness_check(p, eps, 11),
+        "witness_test": lambda: witness_test(p, eps, 20, seed),
+        "brute_force_bellman": lambda: brute_force_bellman(x, p, 0.5, SearchBudget(2, 10, seed)),
+        "contains": lambda: contains(x, p),
+        "sample_boundary": lambda: sample_boundary(p, 4),
+    }
+
+
+_P = st.one_of(st.sampled_from([NAN, INF, 0.5, 1.0, 1.5, 2.0, 3.0, 1023.0, 2000.0]), st.floats())
+_EPS = st.sampled_from([None, NAN, -1.0, 0.0, 5e-324, 1e-300, 1.0, 2.0, 3.0])
+_COORD = st.one_of(st.sampled_from([NAN, INF, -INF, -1.0, 0.0, 1.0, 8.0]), st.floats(0.0, 10.0))
+
+
+@given(_P, _EPS, st.tuples(_COORD, _COORD, _COORD), st.sampled_from([-1, 0, 7]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_every_entry_point_returns_or_raises_a_ucx_error(p, eps, coords, seed):
+    # any other exception escapes the loop and fails the test with its traceback
+    for call in _calls(p, eps, LambdaPoint(*coords), seed).values():
+        try:
+            call()
+        except UcxError:
+            pass
+
+
+@pytest.mark.parametrize("name, p, eps, coords, seed", [
+    ("certificate", 1.5, 1e-300, None, 0),  # 2 eps^(-p) overflowed
+    ("solve_s_star", 1.5, 1e-300, None, 0),
+    ("verify_appendix", 1.5, 1e-300, None, 0),
+    ("sharpness_check", 1.5, 1e-300, None, 0),
+    ("certificate", 1.5, None, None, 0),  # a TypeError from comparing None
+    ("verify_appendix", 3.0, 5.0, None, 0),  # eps = 5 was accepted for p >= 2
+    ("brute_force_bellman", 2.0, 1.0, (1.0, 1.0, INF), 0),  # a FACE3 point of value 0.0
+    ("contains", 2.0, 1.0, (NAN, 1.0, 1.0), 0),
+    ("brute_force_bellman", 2.0, 1.0, (1.0, 1.0, 1.0), -1),  # numpy's ValueError on the seed
+    ("witness_test", 3.0, 1.0, None, -1),
+    ("witness_test", 2000.0, 1.0, None, 0),  # its moments overflowed float64
+])
+def test_bad_input_rejected(name, p, eps, coords, seed):
+    x = LambdaPoint(*(coords or (1.0, 1.0, 1.0)))
+    with pytest.raises(UcxError):
+        _calls(p, eps, x, seed)[name]()

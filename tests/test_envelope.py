@@ -4,7 +4,7 @@ import pytest
 from anchors import PAYOFF_P15_E1
 from helpers import boundary_value
 from ucx.bellman import SearchBudget, brute_force_bellman
-from ucx.certificates import certificate_ge2, certificate_lt2
+from ucx.certificates import certificate
 from ucx.domain import LambdaPoint, contains
 from ucx.envelope import ObstacleGrid, concavify, sample_boundary
 from ucx.errors import DomainError, InfeasibleError
@@ -93,7 +93,7 @@ class TestConcavify:
         p = 1.5
         eps = 2.0 * 0.5 ** (1.0 / p)
         x = LambdaPoint(1.0, 1.0, eps**p)
-        cert = certificate_lt2(p, eps).value(x)
+        cert = certificate(p, eps).value(x)
         env = concavify(sample_boundary(p, 24), x).result
         assert cert - 5e-3 <= env <= cert + 1e-9
 
@@ -210,7 +210,7 @@ class TestHighsOracle:
 class TestSandwich:
     def test_three_routes_agree_at_query_point(self, grid_p4):
         x = LambdaPoint(1.0, 1.0, 1.0)
-        cert = certificate_ge2(4.0).value(x)
+        cert = certificate(4.0).value(x)
         env = concavify(grid_p4, x).result
         bf = brute_force_bellman(x, 4.0, 0.5, SearchBudget(48, 800, seed=2)).value
         assert bf - 2e-2 <= env <= cert + 1e-9

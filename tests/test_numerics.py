@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import central_diff
-from ucx.errors import NonFiniteError, NoSignChangeError
+from ucx.errors import DomainError, NonFiniteError, NoSignChangeError
 from ucx.numerics import Bracket, bisect_root
 
 
@@ -38,9 +38,9 @@ class TestBisect:
         assert abs(loose - tight) < 1e-7
 
     def test_bad_bracket_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             Bracket(1.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             Bracket(0.0, 1.0, tol=0.0)
 
     @given(st.floats(min_value=-5.0, max_value=5.0))
