@@ -1,10 +1,10 @@
 """Sharp modulus of uniform convexity of L^p spaces, numerically certified.
 
-The sharp constant is computed by explicit formulas (closed form for
-p >= 2, a slice-parameter root for 1 < p < 2) and certified three separate
-ways: affine tangent-plane certificates verified by grid scans, the upper
-concave hull of sampled boundary data, and derivative-free maximization
-over step-function pairs.
+The sharp constant is computed by a closed form for p >= 2 and by one
+root solve, for u = 1 - delta, for 1 < p < 2.  It is certified three
+separate ways: affine tangent-plane certificates verified by grid scans,
+the upper concave hull of sampled boundary data, and derivative-free
+maximization over step-function pairs.
 """
 
 from .bellman import (
@@ -28,7 +28,7 @@ from .certificates import (
 )
 from .domain import BoundaryFace, LambdaPoint, contains
 from .envelope import EnvelopeQuery, ObstacleGrid, concavify, sample_boundary
-from .moduli import SStar, delta, delta_closed_form, delta_implicit, delta_via_s_star, solve_s_star
+from .moduli import delta, delta_implicit
 from .numerics import Bracket, bisect_root
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "EnvelopeQuery",
     "LambdaPoint",
     "ObstacleGrid",
-    "SStar",
     "SearchBudget",
     "StepPair",
     "VerificationReport",
@@ -50,16 +49,13 @@ __all__ = [
     "concavify",
     "contains",
     "delta",
-    "delta_closed_form",
     "delta_implicit",
-    "delta_via_s_star",
     "format_witness",
     "moment",
     "monotonicity_witness",
     "payoff",
     "sample_boundary",
     "sharpness_check",
-    "solve_s_star",
     "verify_appendix",
     "witness_test",
 ]

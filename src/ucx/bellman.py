@@ -21,7 +21,7 @@ import numpy as np
 
 from .certificates import VerificationReport
 from .domain import BoundaryFace, LambdaPoint, check_eps, check_exponent, check_theta, contains
-from .errors import DomainError, InfeasibleStartError, NoFeasiblePairError, NonFiniteError
+from .errors import DomainError, InfeasibleError, NoFeasiblePairError, NonFiniteError
 from .moduli import delta
 
 #: weights must sum to one within this slack
@@ -229,10 +229,10 @@ def brute_force_batch(
     witness's moments m from x; its payoff is at most V(m), so it exceeds
     the value V(x) by at most the gradient of V times m - x.  The first
     point in input order that lies outside the cone raises
-    ``InfeasibleStartError``, the first interior point no restart
-    reaches a feasible pair for raises ``NoFeasiblePairError``, and one
-    whose witness overflows float64 when scaled back to it (at p in the
-    hundreds) raises ``NonFiniteError``.
+    ``InfeasibleError``, the first interior point no restart reaches a
+    feasible pair for raises ``NoFeasiblePairError``, and one whose witness
+    overflows float64 when scaled back to it (at p in the hundreds) raises
+    ``NonFiniteError``.
     """
     p = check_exponent(p)
     theta = check_theta(theta)
@@ -243,7 +243,7 @@ def brute_force_batch(
     interior = [i for i in range(outside) if faces[i] is BoundaryFace.INTERIOR]
     atoms = dict(zip(interior, _search([targets[i] for i in interior], p, theta, budget)))
     if outside < len(points):
-        raise InfeasibleStartError(f"{points[outside]} lies outside the cone")
+        raise InfeasibleError(f"{points[outside]} lies outside the cone")
     results = []
     for i, (target, face) in enumerate(zip(targets, faces)):
         if face.on_boundary:

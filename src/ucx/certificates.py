@@ -13,13 +13,14 @@ are tight at the query point.  Both scan the compact section of the cone
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import LambdaPoint, check_eps, check_exponent, section_parameter, section_profile
+from .domain import LambdaPoint, check_eps, check_exponent, section_profile
 from .errors import DomainError, OutOfRangeError, WrongRegimeError
-from .moduli import solve_s_star
+from .moduli import delta
 
 
 @dataclass(frozen=True)
@@ -27,14 +28,16 @@ class Certificate:
     """Majorant c . x of the boundary data, linear by degree-1 homogeneity.
 
     p >= 2: c = (1/2, 1/2, -2**(-p)).
-    1 < p < 2, eps < 2: c = (k, k, f(s*) - 2 eps^(-p) k) with
-    k = f'(s*) / (1 + g'(s*)), and ``s_star`` is s*.  As eps -> 2,
-    s* -> 2**(-p), where 1 + g' vanishes and k grows without bound, so no
-    affine certificate exists at eps = 2.
+    1 < p < 2, eps < 2: the plane tangent to the boundary payoff at the
+    section point with roots (1, |1 - w|, w), whose slice parameter is
+    s* = w**(-p); c = (k, k, f(s*) - 2 eps^(-p) k) with
+    k = f'(s*) / (1 + g'(s*)), and ``w`` is that tangency root, in (0, 2).
+    As eps -> 2, w -> 2, where 1 + g' vanishes and k grows without bound,
+    so no affine certificate exists at eps = 2.
     """
 
     c: tuple[float, float, float]
-    s_star: float | None = None
+    w: float | None = None
 
     def value(self, x):
         """Evaluate at a LambdaPoint, a length-3 vector, or an (N, 3) array."""
@@ -65,8 +68,8 @@ def certificate(p: float, eps: float | None = None) -> Certificate:
     """The certificate of the query (1, 1, eps^p), for the regime of p.
 
     p >= 2: the plane (x1 + x2)/2 - x3/2^p, whatever the eps.  1 < p < 2:
-    the tangent plane at s*, which needs eps in (0, 2).  A given eps must
-    lie in (0, 2] in both regimes.
+    the tangent plane at the slice tangency, which needs eps in (0, 2).  A
+    given eps must lie in (0, 2] in both regimes.
     """
     p = check_exponent(p)
     if eps is not None:
@@ -81,25 +84,35 @@ def certificate(p: float, eps: float | None = None) -> Certificate:
 
 
 def _tangent_certificate(p: float, eps: float) -> Certificate:
-    """The 1 < p < 2 certificate, tangent to the boundary payoff at s*.
+    """The 1 < p < 2 certificate, tangent to the boundary payoff on the slice.
 
     The tangency point on the compact section, scaled to first root 1, has
-    roots (1, |1 - w|, w) with w = s***(-1/p) in (0, 2).  There
-    f' = a = (1 - w/2)**(p-1) and g' = b = sign(1 - w) |1 - w|**(p-1), so
-    k = a/(1 + b), and c3 = f(s*) - k (s* + g) reduces to
+    roots (1, |1 - w|, w) with w = eps / (1 - delta + eps/2) in (0, 2), in
+    closed form from u = 1 - delta; its slice parameter is s* = w**(-p).
+    There f' = a = (1 - w/2)**(p-1) and g' = b = sign(1 - w) |1 - w|**(p-1),
+    so k = a/(1 + b), and c3 = f(s*) - k (s* + g) reduces to
     k w**(1-p) (b - 1)/2, which has none of the cancellation between terms
     of size s*.  b - 1 is expm1((p-1) log1p(-w)) for w < 1 (s* > 1) and
-    -1 - (w - 1)**(p-1) from w = 1 on.
+    -1 - (w - 1)**(p-1) from w = 1 on.  A subnormal w (eps below the
+    smallest normal float) can overflow w**(1-p); there b - 1 is
+    -(p-1) w to all digits, and c3 = -(p-1) k w**(2-p)/2.
     """
-    s_star = solve_s_star(p, eps).s_star
-    w = s_star ** (-1.0 / p)
+    w = eps / (1.0 - delta(p, eps) + 0.5 * eps)
     if w < 1.0:
         b_minus_1 = math.expm1((p - 1.0) * math.log1p(-w))
     else:
         b_minus_1 = -1.0 - (w - 1.0) ** (p - 1.0)
     kappa = (1.0 - 0.5 * w) ** (p - 1.0) / (2.0 + b_minus_1)
-    c3 = 0.5 * kappa * w ** (1.0 - p) * b_minus_1
-    return Certificate((kappa, kappa, c3), s_star)
+    if w < sys.float_info.min:
+        c3 = -0.5 * kappa * (p - 1.0) * w ** (2.0 - p)
+    else:
+        c3 = 0.5 * kappa * w ** (1.0 - p) * b_minus_1
+    return Certificate((kappa, kappa, c3), w)
+
+
+def _section_root(w: float) -> float:
+    """The payoff root tau* of the section point with roots (1, |1 - w|, w)."""
+    return 1.0 - 0.5 * w if w <= 1.0 else 1.0 / w - 0.5
 
 
 def monotonicity_witness(s, p: float):
@@ -160,7 +173,7 @@ def verify_appendix(
       * ``gap-derivative-sign``        k* - f'/(1+g') is negative before the
         tangency and positive after it, outside two grid steps of it;
         combined with the positive denominator this is the sign of U',
-        forcing the single minimum U = 0 at s*
+        forcing the single minimum U = 0 at the tangency tau*
 
     Failures never raise; each claim yields a report with its worst sample.
     """
@@ -197,7 +210,7 @@ def verify_appendix(
         # each difference is reported at the left end of its step
         reports.append(_report_max("slope-ratio-decreasing", t_in, np.diff(ratio), 1e-12))
 
-        tau_star = section_parameter(cert.s_star, p)
+        tau_star = _section_root(cert.w)
         band = 2.0 * (tau[1] - tau[0])
         rhs = cert.c[0] - ratio
         viol = np.where(t_in < tau_star - band, rhs, np.where(t_in > tau_star + band, -rhs, -np.inf))
@@ -218,10 +231,12 @@ def sharpness_check(p: float, eps: float | None = None, n_chord: int = 1001) -> 
     max |chord - cert| over ``n_chord`` chord points, at its chord parameter;
     pass requires it below 1e-10.
 
-    1 < p < 2 (requires eps): the chord joins the tangency point of s* and
-    its x1 <-> x2 mirror, where the chord function is constant.  Its midpoint
-    lies on the query ray exactly when 2 eps^-p = s* + g(s*), which must
-    hold to 1e-12 relative.
+    1 < p < 2 (requires eps): the chord joins the tangency point, roots
+    (1, |1 - w|, w) on the section, and its x1 <-> x2 mirror, where the
+    chord function is constant.  Its midpoint lies on the ray of
+    (1, 1, eps^p) exactly when (1 + |1 - w|**p)/2 (eps/w)**p = 1 (the slice
+    form 2 eps^-p = s* + g(s*) at s* = w**-p), which must hold to 1e-12
+    relative.
 
     p >= 2: the chord joins the antipodal point (2^-p, 2^-p, 1), payoff 0,
     to (1, 1, 0), payoff 1.  Its cone is all of the cone's plane x1 = x2, so
@@ -233,9 +248,10 @@ def sharpness_check(p: float, eps: float | None = None, n_chord: int = 1001) -> 
     t = np.linspace(0.0, 1.0, n_chord)
     cert = certificate(p, eps)
     if p < 2.0:
-        x, f, _, _ = section_profile(section_parameter(cert.s_star, p), p)
+        w = cert.w
+        x, f, _, _ = section_profile(_section_root(w), p)
         ends, payoffs = np.array([x, x[[1, 0, 2]]]), np.array([f, f])
-        on_ray = solve_s_star(p, eps).residual <= 1e-12 * 2.0 * eps ** (-p)
+        on_ray = abs(0.5 * (1.0 + abs(1.0 - w) ** p) * (eps / w) ** p - 1.0) <= 1e-12
     else:
         ends, payoffs, _, _ = section_profile(np.array([0.0, 1.0]), p)
         on_ray = True

@@ -86,6 +86,7 @@ def cmd_table(args) -> int:
     rows = []
     for e in _parse_eps_grid(args.eps):
         d = delta(p, e)
+        # the p < 2 route keeps its printed label "s_star": benchmarks/checks.py checks it
         route = "closed_form" if p >= 2.0 else "s_star"
         # the implicit equation holds for p <= 2 only; past 2 there is nothing to cross-check
         residual = 0.0 if p > 2.0 else abs(d - delta_implicit(p, e))

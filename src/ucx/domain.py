@@ -8,7 +8,7 @@ to explicit formulas.  The theta=1/2 boundary slice at x3 = 1 is the curve
 (s, g(s), 1), s >= 2**(-p), with boundary payoff f(s).  It is carried on
 the compact section of the cone (largest p-th root 1), where the whole
 slice, s -> oo included, is parametrized by its payoff root tau in [0, 1]
-(``section_profile``); ``section_parameter`` maps s to tau.
+(``section_profile``).
 """
 
 from __future__ import annotations
@@ -85,17 +85,17 @@ def _roots(x: LambdaPoint, p: float) -> tuple[float, float, float]:
     return (x.x1**inv, x.x2**inv, x.x3**inv)
 
 
-def contains(x: LambdaPoint, p: float, tol: float = FACE_TOL) -> BoundaryFace:
+def contains(x: LambdaPoint, p: float) -> BoundaryFace:
     """Classify x against the cone: a face tag, INTERIOR, or OUTSIDE.
 
-    The test works on the p-th roots with tolerance ``tol`` relative to the
-    largest root, so points generated from the boundary parametrization are
-    never misreported as OUTSIDE by rounding.  The apex x = 0 satisfies all
-    equalities and reports a face tag.
+    The test works on the p-th roots with tolerance ``FACE_TOL`` relative to
+    the largest root, so points generated from the boundary parametrization
+    are never misreported as OUTSIDE by rounding.  The apex x = 0 satisfies
+    all equalities and reports a face tag.
     """
     p = check_exponent(p)
     u1, u2, u3 = _roots(x, p)
-    tol_abs = tol * max(u1, u2, u3)
+    tol_abs = FACE_TOL * max(u1, u2, u3)
     d3 = u1 + u2 - u3
     d1 = u2 + u3 - u1
     d2 = u3 + u1 - u2
@@ -146,8 +146,3 @@ def section_profile(tau, p: float):
     g_prime = np.where(low, -1.0, 1.0) * (r2 / r1) ** (p - 1.0)
     return x, tau**p, f_prime, g_prime
 
-
-def section_parameter(s: float, p: float) -> float:
-    """The payoff root tau of the slice point (s, g(s), 1) on the compact section."""
-    u = s ** (1.0 / p)
-    return max(u - 0.5, 0.0) / max(u, 1.0)

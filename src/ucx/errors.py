@@ -33,9 +33,5 @@ class WrongRegimeError(UcxError):
     """Operation called with an exponent from the wrong regime."""
 
 
-class InfeasibleStartError(UcxError):
-    """Brute-force search started at a point outside the cone."""
-
-
 class NoFeasiblePairError(UcxError):
     """No restart of the step-pair search reached a pair with the query's moments."""

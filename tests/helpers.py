@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 
 from ucx.bellman import WEIGHT_TOL
-from ucx.domain import FACE_TOL, LambdaPoint, check_exponent, check_theta, contains, face_value
+from ucx.domain import LambdaPoint, check_exponent, check_theta, contains, face_value
 from ucx.errors import DomainError, OutOfRangeError, UcxError
 
 
@@ -25,7 +25,7 @@ def central_diff(fn, s: float, h: float) -> float:
     return (float(fn(s + h)) - float(fn(s - h))) / (2.0 * h)
 
 
-def boundary_value(x: LambdaPoint, p: float, theta: float = 0.5, tol: float = FACE_TOL) -> float:
+def boundary_value(x: LambdaPoint, p: float, theta: float = 0.5) -> float:
     """Collinear-pair payoff at a boundary point, by the face ``contains`` reports.
 
     On an edge several face formulas apply; they agree there (the data is
@@ -33,7 +33,7 @@ def boundary_value(x: LambdaPoint, p: float, theta: float = 0.5, tol: float = FA
     ``contains`` is used.
     """
     theta = check_theta(theta)
-    face = contains(x, p, tol)
+    face = contains(x, p)
     if not face.on_boundary:
         raise NotOnBoundaryError(f"{x} is {face.value}, not on the cone boundary")
     return face_value(face, [c ** (1.0 / p) for c in (x.x1, x.x2, x.x3)], p, theta)

@@ -18,7 +18,7 @@ from ucx.certificates import certificate, sharpness_check, verify_appendix
 from ucx.cli import main as cli_main
 from ucx.domain import LambdaPoint
 from ucx.envelope import concavify, sample_boundary
-from ucx.moduli import delta_closed_form, delta_implicit, delta_via_s_star, solve_s_star
+from ucx.moduli import delta, delta_implicit
 
 
 class Stopwatch:
@@ -43,12 +43,12 @@ def test_criterion_1_closed_form_ge2():
     with Stopwatch(1.0) as sw:
         eps_grid = np.linspace(0.0, 2.0, 50)
         for p in [2.0, 2.5, 3.0, 4.0, 8.0]:
-            vals = [delta_closed_form(p, float(e)) for e in eps_grid]
+            vals = [delta(p, float(e)) for e in eps_grid]
             assert vals[0] == 0.0
             assert vals[-1] == 1.0
             assert all(b >= a for a, b in zip(vals, vals[1:]))
         for e in eps_grid:
-            assert abs(delta_closed_form(2.0, float(e)) - delta_implicit(2.0, float(e))) < 1e-10
+            assert abs(delta(2.0, float(e)) - delta_implicit(2.0, float(e))) < 1e-10
     report(1, "closed-form modulus, p>=2", sw)
 
 
@@ -57,13 +57,14 @@ def test_criterion_2_route_agreement_lt2():
         for p in [1.1, 1.3, 1.5, 1.7, 1.9]:
             for eps in np.linspace(0.1, 1.9, 19):
                 eps = float(eps)
-                sol = solve_s_star(p, eps)
-                assert sol.residual < 1e-10
-                assert abs(delta_via_s_star(p, eps) - delta_implicit(p, eps)) < 1e-8
+                # the tangency root w solves the slice equation 2 eps^-p = s + g(s) at s = w**-p
+                s = certificate(p, eps).w ** -p
+                assert abs(s + abs(1.0 - s ** (1.0 / p)) ** p - 2.0 * eps**-p) < 1e-10
+                assert abs(delta(p, eps) - delta_implicit(p, eps)) < 1e-8
         # spot anchors at (p, eps) = (1.5, 1): two independent root solves agree
-        sol = solve_s_star(1.5, 1.0)
-        assert abs(sol.s_star - S_STAR_P15_E1) < 1e-10 and abs(sol.s_star - 1.715) < 1e-3
-        d = delta_via_s_star(1.5, 1.0)
+        s_star = certificate(1.5, 1.0).w ** -1.5
+        assert abs(s_star - S_STAR_P15_E1) < 1e-10 and abs(s_star - 1.715) < 1e-3
+        d = delta(1.5, 1.0)
         assert abs(d - DELTA_P15_E1) < 1e-10 and abs(d - 0.0672) < 5e-4
     report(2, "route agreement, 1<p<2", sw)
 
@@ -101,8 +102,8 @@ def test_criterion_4_sharpness():
         # 1 < p < 2: exact chord equality and the midpoint identity
         rep = sharpness_check(1.5, 1.0, n_chord=1001)
         assert rep.passed and rep.worst_value < 1e-10
-        sol = solve_s_star(1.5, 1.0)
-        mid = 0.5 * (sol.s_star + boundary_profile(sol.s_star, 1.5).g)
+        s_star = certificate(1.5, 1.0).w ** -1.5
+        mid = 0.5 * (s_star + boundary_profile(s_star, 1.5).g)
         assert abs(mid - 1.0) <= 1e-12  # (eps^-p, eps^-p, 1) sits on the chord
 
         # p >= 2: exact chord equality from the antipodal point to (1, 1, 0)
@@ -117,9 +118,9 @@ def test_criterion_4_sharpness():
         assert abs(ge2.value(LambdaPoint(smin, smin, 1.0))) <= 1e-10
         assert abs(ge2.value(LambdaPoint(1.0, 1.0, 0.0)) - 1.0) <= 1e-10
         lt2 = certificate(1.5, 1.0)
-        level = boundary_profile(lt2.s_star, 1.5).f
-        assert abs(lt2.value(slice_point(lt2.s_star, 1.5)) - level) <= 1e-10
-        assert abs(lt2.value(slice_point(lt2.s_star, 1.5, swapped=True)) - level) <= 1e-10
+        level = boundary_profile(s_star, 1.5).f
+        assert abs(lt2.value(slice_point(s_star, 1.5)) - level) <= 1e-10
+        assert abs(lt2.value(slice_point(s_star, 1.5, swapped=True)) - level) <= 1e-10
     report(4, "sharpness of both certificates", sw)
 
 

@@ -18,7 +18,7 @@ from ucx.bellman import (
 from ucx.certificates import certificate
 from ucx.cli import main as cli_main
 from ucx.domain import BoundaryFace, LambdaPoint, contains
-from ucx.errors import DomainError, InfeasibleStartError, NoFeasiblePairError
+from ucx.errors import DomainError, InfeasibleError, NoFeasiblePairError
 
 
 def pair(*atoms):
@@ -166,7 +166,7 @@ class TestHanner:
 
 class TestBruteForce:
     def test_outside_rejected(self):
-        with pytest.raises(InfeasibleStartError):
+        with pytest.raises(InfeasibleError):
             brute_force_bellman(LambdaPoint(1.0, 1.0, 100.0), 2.0)
 
     def test_apex(self):
@@ -367,7 +367,7 @@ class TestBatch:
         outside = LambdaPoint(1.0, 1.0, 100.0)
         with pytest.raises(NoFeasiblePairError):
             brute_force_batch([points[5], outside], p, 0.5, budget)
-        with pytest.raises(InfeasibleStartError):
+        with pytest.raises(InfeasibleError):
             brute_force_batch([points[1], outside, points[5]], p, 0.5, budget)
         argv = ["envelope", "--p", "3", "--grid-n", "9", "--restarts", "1", "--local-steps", "1"]
         assert cli_main(argv) == 2

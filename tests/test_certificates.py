@@ -15,7 +15,7 @@ from ucx.certificates import (
     sharpness_check,
     verify_appendix,
 )
-from ucx.domain import LambdaPoint, section_parameter, section_profile
+from ucx.domain import LambdaPoint, section_profile
 from ucx.errors import DomainError, OutOfRangeError, WrongRegimeError
 
 
@@ -25,10 +25,14 @@ def section_gap(cert, tau, p):
     return cert.value(x) - f
 
 
-def lt2_coefficients_mpmath(p, eps):
-    """(k, c3) of the p < 2 certificate at 50 digits, by its defining formulas at s*."""
-    d = delta_mpmath(p, eps)
-    with mpmath.workdps(50):
+def lt2_coefficients_mpmath(p, eps, d=None, dps=50):
+    """(k, c3) of the p < 2 certificate at ``dps`` digits, by its defining formulas at s*.
+
+    ``d`` is delta at that precision; by default the 50-digit bisection.
+    """
+    if d is None:
+        d = delta_mpmath(p, eps)
+    with mpmath.workdps(dps):
         p, eps, half = mpmath.mpf(p), mpmath.mpf(eps), mpmath.mpf(1) / 2
         u = (1 - d) / eps + half  # s*^(1/p)
         f_prime = ((u - half) / u) ** (p - 1)
@@ -66,7 +70,7 @@ class TestCertificateLt2:
         assert cert.c[0] == pytest.approx(KAPPA_P15_E1, abs=1e-10)
         assert cert.value(LambdaPoint(1.0, 1.0, 1.0)) == pytest.approx(PAYOFF_P15_E1, abs=1e-10)
         # the certificate meets the boundary payoff at the touching point
-        a = slice_point(cert.s_star, 1.5)
+        a = slice_point(cert.w**-1.5, 1.5)
         assert cert.value(a) == pytest.approx(PAYOFF_P15_E1, abs=1e-10)
 
     def test_dispatch_needs_eps_in_open_interval(self):
@@ -100,6 +104,21 @@ class TestCertificateLt2:
                 assert abs(cert.c[0] - k) <= 1e-12 * abs(k), (p, eps)
                 assert abs(cert.c[2] - c3) <= 1e-12 * abs(c3), (p, eps)
 
+    @pytest.mark.parametrize("p, eps", [(1.5, 1e-300), (1.5, 5e-324), (1.999, 1e-310), (1.999, 5e-324)])
+    def test_tiny_eps_matches_mpmath(self, p, eps):
+        # at eps = 1e-300, delta ~ 6e-602 lies far below a 50-digit bisection, and
+        # c3 ~ -1e-151 is the difference of two terms of size 2 eps^-p ~ 1e450;
+        # at the subnormal eps = 5e-324, p = 1.999, the terms are ~ 1e646 and
+        # c3 ~ -0.12: 700 digits cover both
+        with mpmath.workdps(700):
+            P, a = mpmath.mpf(p), mpmath.mpf(eps) / 2
+            d = mpmath.findroot(lambda d: (1 - d + a) ** P + abs(1 - d - a) ** P - 2, (P - 1) * a**2 / 2)
+        k, c3 = lt2_coefficients_mpmath(p, eps, d, dps=700)
+        cert = certificate(p, eps)
+        with mpmath.workdps(50):
+            assert abs(cert.c[0] - k) <= 1e-12 * abs(k)
+            assert abs(cert.c[2] - c3) <= 1e-12 * abs(c3)
+
 
 class TestMajorizationGap:
     TAU = np.linspace(0.0, 1.0, 801)
@@ -112,7 +131,8 @@ class TestMajorizationGap:
     def test_lt2_vanishes_at_s_star(self):
         for p, eps in [(1.5, 1.0), (1.5, 1e-8), (1.99, 1e-8), (1.2, 1.9)]:
             cert = certificate(p, eps)
-            tau_star = section_parameter(cert.s_star, p)
+            # the tangency point has roots (1, |1 - w|, w), on face 3 from w = 1 on
+            tau_star = 1.0 - 0.5 * cert.w if cert.w <= 1.0 else 1.0 / cert.w - 0.5
             assert section_gap(cert, tau_star, p) == pytest.approx(0.0, abs=1e-14)
 
     def test_p2_identically_zero(self):

@@ -149,6 +149,14 @@ class TestVerify:
             assert code == 0, (p, eps, failed, err)
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("eps", ["1e-300", "5e-324"])
+    def test_tiny_eps_certifies(self, eps):
+        # s* = w**-p and 2 eps^-p overflow float64 here; the tangency root w does not
+        code, out, err = run_cli(["verify", "--p", "1.5", "--eps", eps])
+        lines = out.splitlines()
+        assert code == 0 and err == "" and len(lines) == 6
+        assert all(" pass=true " in line for line in lines)
+
     @pytest.mark.parametrize("command", ["verify", "envelope"])
     def test_eps_two_below_p2_exit_2(self, command):
         # no affine certificate exists at eps = 2 for p < 2
@@ -231,6 +239,14 @@ class TestEnvelope:
     def test_missing_eps_exit_2(self):
         code, _, err = run_cli(["envelope", "--p", "1.5"])
         assert code == 2 and "epsilon required" in err
+
+    def test_tiny_eps_runs(self):
+        # the p < 2 certificate exists down to eps = 1e-300, where it is (x1 + x2)/2
+        # up to c3 ~ -1e-151
+        code, out, err = run_cli(["envelope", "--p", "1.5", "--eps", "1e-300", "--grid-n", "3",
+                                  "--n-per-face", "8", "--restarts", "2", "--local-steps", "20"])
+        assert code == 0 and err == ""
+        assert float(parse_csv(out)[0]["certificate"]) == 1.0
 
     @pytest.mark.parametrize("argv", [
         *(["--p", "1.25", "--eps", "0.66", "--seed", str(seed)] for seed in range(8)),
@@ -321,9 +337,9 @@ class TestBadInputsExit2:
     @pytest.mark.parametrize("argv", [
         "table --p 0.9 --eps 1", "table --p 2 --eps 3",
         "verify --p 1.5", "verify --p 3 --eps 3", "verify --p 3 --eps 0", "verify --p 1.5 --eps 2",
-        "verify --p 1.5 --eps 1e-300", "verify --p 2000 --grid-n 11 --n-chord 11",
+        "verify --p 2000 --grid-n 11 --n-chord 11",
         "envelope --p 1.5", "envelope --p 1.5 --eps 0", "envelope --p 3 --eps 5",
-        "envelope --p 3 --eps 0 --grid-n 3", "envelope --p 1.5 --eps 1e-300",
+        "envelope --p 3 --eps 0 --grid-n 3",
         "bruteforce --p 0.5 --x 1,1,1", "bruteforce --p 2 --x -1,1,1", "bruteforce --p 2 --x=-1,1,1",
         "bruteforce --p 2 --x nan,1,1", "bruteforce --p 2 --x 1,1,1 --seed -1",
     ])

@@ -16,7 +16,7 @@ from ucx.certificates import certificate, sharpness_check, verify_appendix
 from ucx.domain import LambdaPoint, contains
 from ucx.envelope import sample_boundary
 from ucx.errors import UcxError
-from ucx.moduli import delta, delta_implicit, solve_s_star
+from ucx.moduli import delta, delta_implicit
 
 NAN, INF = math.nan, math.inf
 
@@ -26,7 +26,6 @@ def _calls(p, eps, x, seed):
     return {
         "delta": lambda: delta(p, eps),
         "delta_implicit": lambda: delta_implicit(p, eps),
-        "solve_s_star": lambda: solve_s_star(p, eps),
         "certificate": lambda: certificate(p, eps),
         "verify_appendix": lambda: verify_appendix(p, eps, 11),
         "sharpness_check": lambda: sharpness_check(p, eps, 11),
@@ -54,10 +53,10 @@ def test_every_entry_point_returns_or_raises_a_ucx_error(p, eps, coords, seed):
 
 
 @pytest.mark.parametrize("name, p, eps, coords, seed", [
-    ("certificate", 1.5, 1e-300, None, 0),  # 2 eps^(-p) overflowed
-    ("solve_s_star", 1.5, 1e-300, None, 0),
-    ("verify_appendix", 1.5, 1e-300, None, 0),
-    ("sharpness_check", 1.5, 1e-300, None, 0),
+    ("verify_appendix", 1.5, 0.0, None, 0),  # the p < 2 certificate needs eps in (0, 2)
+    ("sharpness_check", 1.5, 0.0, None, 0),
+    ("verify_appendix", 1.5, 2.0, None, 0),
+    ("sharpness_check", 1.5, 2.0, None, 0),
     ("certificate", 1.5, None, None, 0),  # a TypeError from comparing None
     ("verify_appendix", 3.0, 5.0, None, 0),  # eps = 5 was accepted for p >= 2
     ("brute_force_bellman", 2.0, 1.0, (1.0, 1.0, INF), 0),  # a FACE3 point of value 0.0
@@ -70,3 +69,13 @@ def test_bad_input_rejected(name, p, eps, coords, seed):
     x = LambdaPoint(*(coords or (1.0, 1.0, 1.0)))
     with pytest.raises(UcxError):
         _calls(p, eps, x, seed)[name]()
+
+
+@pytest.mark.parametrize("name, p, eps", [
+    ("verify_appendix", 1.5, 1e-300),  # 2 eps^-p overflowed float64 before the tangency form
+    ("sharpness_check", 1.5, 1e-300),
+])
+def test_tiny_eps_accepted(name, p, eps):
+    result = _calls(p, eps, LambdaPoint(1.0, 1.0, 1.0), 0)[name]()
+    reports = result if isinstance(result, list) else [result]
+    assert reports and all(report.passed for report in reports)

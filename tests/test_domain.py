@@ -11,7 +11,7 @@ from helpers import (
     slice_lower_bound,
     slice_point,
 )
-from ucx.domain import BoundaryFace, LambdaPoint, contains, face_value, section_parameter, section_profile
+from ucx.domain import BoundaryFace, LambdaPoint, contains, face_value, section_profile
 from ucx.errors import (
     DomainError,
     NegativeCoordinateError,
@@ -227,8 +227,6 @@ class TestSectionProfile:
         assert np.allclose(f / x[:, 2], f_s, rtol=1e-12, atol=1e-15)
         assert np.allclose(fp, fp_s, rtol=1e-12, atol=1e-15)
         assert np.allclose(gp, gp_s, rtol=1e-12, atol=1e-15)
-        for si, ti in zip(s, tau):
-            assert section_parameter(float(si), p) == pytest.approx(ti, abs=1e-12)
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_on_boundary_with_payoff(self, p):
@@ -237,8 +235,8 @@ class TestSectionProfile:
             assert boundary_value(LambdaPoint(*xi), p) == pytest.approx(fi, abs=1e-12)
 
     def test_far_slice_stays_on_section(self):
-        # s = 1e30 is far beyond any x3 = 1 grid; on the section it sits next to tau = 1
-        tau = section_parameter(1e30, 1.5)
-        assert 1.0 - tau == pytest.approx(0.5e-20, rel=1e-12)
-        x, _, _, _ = section_profile(tau, 1.5)
-        assert x[0] == 1.0 and x[2] <= 1e-29
+        # the float below tau = 1 is the slice point at s = x1/x3 = 2**78, far
+        # beyond any x3 = 1 grid
+        x, f, _, _ = section_profile(1.0 - 2.0**-53, 1.5)
+        assert x[0] == 1.0 and x[2] == 2.0**-78
+        assert f == pytest.approx(1.0, abs=1e-15)

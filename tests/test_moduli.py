@@ -16,93 +16,87 @@ from anchors import (
     S_STAR_P15_E1,
 )
 from helpers import delta_mpmath
-from ucx.errors import DomainError, WrongRegimeError
-from ucx.moduli import (
-    delta,
-    delta_closed_form,
-    delta_implicit,
-    delta_via_s_star,
-    solve_s_star,
-)
+from ucx.certificates import certificate
+from ucx.errors import DomainError
+from ucx.moduli import delta, delta_implicit
+
+
+def slice_residual(p, eps, w):
+    """|s + g(s) - 2 eps^-p| at the slice parameter s = w**-p of a tangency root w."""
+    s = w**-p
+    return abs(s + abs(1.0 - s ** (1.0 / p)) ** p - 2.0 * eps**-p)
 
 
 class TestClosedForm:
     def test_endpoints_exact(self):
-        assert delta_closed_form(3.0, 0.0) == 0.0
-        assert delta_closed_form(3.0, 2.0) == 1.0
+        assert delta(3.0, 0.0) == 0.0
+        assert delta(3.0, 2.0) == 1.0
 
     def test_p2(self):
-        assert delta_closed_form(2.0, 1.0) == pytest.approx(DELTA_E1_P2, abs=1e-14)
+        assert delta(2.0, 1.0) == pytest.approx(DELTA_E1_P2, abs=1e-14)
 
     def test_p4(self):
-        d = delta_closed_form(4.0, 1.0)
+        d = delta(4.0, 1.0)
         assert d == pytest.approx(DELTA_E1_P4, abs=1e-14)
         assert (1.0 - d) ** 4 == pytest.approx(15.0 / 16.0, abs=1e-14)
 
     @pytest.mark.parametrize("p, eps, expected", DELTA_TINY_CORNERS)
     def test_relative_accuracy_when_delta_is_tiny(self, p, eps, expected):
-        assert abs(delta_closed_form(p, eps) - expected) <= 1e-15 * expected
-
-    def test_wrong_regime(self):
-        with pytest.raises(WrongRegimeError):
-            delta_closed_form(1.5, 1.0)
+        assert abs(delta(p, eps) - expected) <= 1e-15 * expected
 
     def test_eps_validation(self):
         with pytest.raises(DomainError):
-            delta_closed_form(3.0, 2.5)
+            delta(3.0, 2.5)
 
 
 class TestSStar:
+    """s* = w**-p, the slice parameter of the p < 2 certificate's tangency root w."""
+
     def test_eps_two_hits_left_endpoint(self):
+        # s* falls to 2**-p like sqrt(2 - eps); at eps = 2 there is no certificate
         for p in [1.2, 1.5, 1.9]:
-            sol = solve_s_star(p, 2.0)
-            assert sol.s_star == pytest.approx(2.0**-p, abs=1e-9)
+            gaps = [certificate(p, 2.0 - h).w ** -p - 2.0**-p for h in (1e-6, 1e-9, 1e-12)]
+            assert 0.0 < gaps[2] < gaps[1] < gaps[0] and gaps[2] < 2e-6
 
     def test_frozen_anchor(self):
-        sol = solve_s_star(1.5, 1.0)
-        assert sol.s_star == pytest.approx(S_STAR_P15_E1, abs=1e-10)
-        assert sol.residual < 1e-10
+        w = certificate(1.5, 1.0).w
+        assert w**-1.5 == pytest.approx(S_STAR_P15_E1, abs=1e-10)
+        assert slice_residual(1.5, 1.0, w) < 1e-10
 
     def test_p2_hand_checkable(self):
-        # at eps = sqrt(2): s + (1 - sqrt(s))^2 = 1 has the root s = 1
-        assert solve_s_star(2.0, math.sqrt(2.0)).s_star == pytest.approx(1.0, abs=1e-10)
+        # s* = ((1 - delta)/eps + 1/2)**p; at eps = sqrt(2), s + (1 - sqrt(s))^2 = 1
+        # has the root s = 1
+        eps = math.sqrt(2.0)
+        assert ((1.0 - delta(2.0, eps)) / eps + 0.5) ** 2 == pytest.approx(1.0, abs=1e-10)
         # at eps = 2 the root collapses to 2^(-p) = 1/4
-        assert solve_s_star(2.0, 2.0).s_star == pytest.approx(0.25, abs=1e-12)
+        assert ((1.0 - delta(2.0, 2.0)) / 2.0 + 0.5) ** 2 == 0.25
 
     def test_eps_zero_rejected(self):
         with pytest.raises(DomainError):
-            solve_s_star(1.5, 0.0)
-
-    def test_wrong_regime(self):
-        with pytest.raises(WrongRegimeError):
-            solve_s_star(3.0, 1.0)
+            certificate(1.5, 0.0)
 
     @pytest.mark.parametrize("p", [1.1, 1.5, 1.9])
     @pytest.mark.parametrize("eps", [0.25, 1.0, 1.75])
     def test_residual_small(self, p, eps):
-        assert solve_s_star(p, eps).residual < 1e-10
+        assert slice_residual(p, eps, certificate(p, eps).w) < 1e-10
 
 
 class TestDeltaRoutes:
     def test_via_s_star_endpoint(self):
-        assert delta_via_s_star(1.5, 2.0) == 1.0
+        assert delta(1.5, 2.0) == 1.0
 
     def test_via_s_star_anchor(self):
-        assert delta_via_s_star(1.5, 1.0) == pytest.approx(DELTA_P15_E1, abs=1e-11)
+        assert delta(1.5, 1.0) == pytest.approx(DELTA_P15_E1, abs=1e-11)
 
     def test_via_s_star_degenerate_limit(self):
-        assert delta_via_s_star(1.5, 1e-4) < 1e-4
-
-    def test_via_s_star_wrong_regime(self):
-        with pytest.raises(WrongRegimeError):
-            delta_via_s_star(2.0, 1.0)
+        assert delta(1.5, 1e-4) < 1e-4
 
     def test_implicit_endpoints_exact(self):
         assert delta_implicit(1.5, 2.0) == 1.0
         assert delta_implicit(1.5, 0.0) == 0.0
 
     def test_implicit_agrees_with_s_star_route(self):
-        assert delta_implicit(1.5, 1.0) == pytest.approx(delta_via_s_star(1.5, 1.0), abs=1e-9)
+        assert delta_implicit(1.5, 1.0) == pytest.approx(delta(1.5, 1.0), abs=1e-9)
 
     def test_implicit_p2_matches_closed_form(self):
         assert delta_implicit(2.0, 1.0) == pytest.approx(DELTA_E1_P2, abs=1e-10)
@@ -119,13 +113,13 @@ class TestInvariants:
     @pytest.mark.parametrize("p", [1.1, 1.3, 1.5, 1.7, 1.9])
     def test_route_agreement(self, p):
         for eps in np.linspace(0.1, 1.9, 19):
-            a = delta_via_s_star(p, float(eps))
+            a = delta(p, float(eps))
             b = delta_implicit(p, float(eps))
             assert abs(a - b) < 1e-8
 
     def test_p2_seam(self):
         for eps in np.linspace(0.0, 2.0, 41):
-            a = delta_closed_form(2.0, float(eps))
+            a = delta(2.0, float(eps))
             b = delta_implicit(2.0, float(eps))
             assert abs(a - b) < 1e-10
 
@@ -147,8 +141,9 @@ class TestInvariants:
     )
     @settings(max_examples=60, deadline=None)
     def test_substitution_identity(self, p, eps):
-        # t = s*^(1/p) turns the s* equation into the implicit delta equation
-        t = solve_s_star(p, eps).s_star ** (1.0 / p)
+        # t = s*^(1/p) = (1 - delta)/eps + 1/2 turns the s* equation into the
+        # implicit delta equation
+        t = (1.0 - delta(p, eps)) / eps + 0.5
         resid = (eps * t) ** p + (eps * abs(t - 1.0)) ** p - 2.0
         assert abs(resid) < 1e-9
 
