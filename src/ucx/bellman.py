@@ -2,7 +2,8 @@
 
 A step pair is a weighted list of atoms (a_j, f_j, g_j) standing for a
 piecewise-constant pair on a unit-mass interval; its averaged moments land
-in the cone and its payoff is a lower bound on the value function there.
+in the cone and its payoff, the averaged midpoint |(f+g)/2|^p, is a lower
+bound on the value function there.
 ``brute_force_batch`` searches three atoms' values and solves for their
 weights exactly, for a batch of query points at once, so each payoff is
 such a lower bound up to float rounding; ``brute_force_bellman`` is its
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import VerificationReport
-from .domain import BoundaryFace, LambdaPoint, check_eps, check_exponent, check_theta, contains
+from .domain import BoundaryFace, LambdaPoint, check_eps, check_exponent, contains
 from .errors import DomainError, InfeasibleError, NoFeasiblePairError, NonFiniteError
 from .moduli import delta
 
@@ -77,20 +78,16 @@ class StepPair:
 def moment(pair: StepPair, p: float) -> LambdaPoint:
     """Averaged moment vector (|f|^p, |g|^p, |f-g|^p); always lands in the cone."""
     p = check_exponent(p)
-    a, f, g = pair.weights, pair.f_values, pair.g_values
-    return LambdaPoint(
-        float(a @ np.abs(f) ** p),
-        float(a @ np.abs(g) ** p),
-        float(a @ np.abs(f - g) ** p),
-    )
+    # one dot product per contiguous moment row: a matrix-vector product
+    # over the strided columns could round differently
+    v = _atom_terms(pair.f_values, pair.g_values, p)[0]
+    return LambdaPoint(*(float(pair.weights @ row) for row in v.T.copy()))
 
 
-def payoff(pair: StepPair, p: float, theta: float = 0.5) -> float:
-    """Averaged |theta f + (1-theta) g|^p."""
+def payoff(pair: StepPair, p: float) -> float:
+    """Averaged midpoint payoff |(f+g)/2|^p."""
     p = check_exponent(p)
-    theta = check_theta(theta)
-    a, f, g = pair.weights, pair.f_values, pair.g_values
-    return float(a @ np.abs(theta * f + (1.0 - theta) * g) ** p)
+    return float(pair.weights @ _atom_terms(pair.f_values, pair.g_values, p)[1])
 
 
 @dataclass(frozen=True)
@@ -123,12 +120,12 @@ class BruteForceResult:
     residual: float
 
 
-def _atom_terms(f, g, p, theta):
-    """Moment vectors (|f|^p, |g|^p, |f-g|^p) on a new last axis, and payoffs."""
+def _atom_terms(f, g, p):
+    """Moment vectors (|f|^p, |g|^p, |f-g|^p) on a new last axis, and midpoint payoffs."""
     d = f - g
     v = np.empty(d.shape + (3,))
     v[..., 0], v[..., 1], v[..., 2] = np.abs(f) ** p, np.abs(g) ** p, np.abs(d) ** p
-    return v, np.abs(theta * f + (1.0 - theta) * g) ** p
+    return v, np.abs(0.5 * f + 0.5 * g) ** p
 
 
 def _solve_weights(vj, wj, vk, wk, vl, wl, x, xq, tol):
@@ -157,7 +154,7 @@ def _solve_weights(vj, wj, vk, wk, vl, wl, x, xq, tol):
     return a, np.where(feasible, a[..., 0] * wj + a[..., 1] * wk + a[..., 2] * wl, -1.0 - neg)
 
 
-def _pattern_search(vals, xq, p, theta, steps):
+def _pattern_search(vals, xq, p, steps):
     """Cyclic pattern search over the values (f_0..f_2, g_0..g_2) of each row.
 
     Rows run over (query, restart), query-major; each query in ``xq`` has
@@ -173,10 +170,10 @@ def _pattern_search(vals, xq, p, theta, steps):
     out_vals, out_a, out_score = np.empty_like(vals), np.empty((len(vals), ATOM_COUNT)), np.empty(len(vals))
     rows = np.arange(len(vals))
     x = np.repeat(xq, restarts, axis=0)
-    # the payoff is at most theta x1 + (1 - theta) x2 by convexity, so each
+    # the payoff is at most (x1 + x2)/2 by convexity, so each
     # moment is checked relative to itself or to max(x1, x2), the larger
     tol = MOMENT_RTOL * np.maximum(x, x[:, :2].max(axis=1, keepdims=True))
-    v, w = _atom_terms(vals[:, :ATOM_COUNT], vals[:, ATOM_COUNT:], p, theta)
+    v, w = _atom_terms(vals[:, :ATOM_COUNT], vals[:, ATOM_COUNT:], p)
     a, score = _solve_weights(v[:, 0], w[:, 0], v[:, 1], w[:, 1], v[:, 2], w[:, 2], x, xq, tol)
     h = np.full(vals.shape, 0.5)
     for it in range(steps):
@@ -185,7 +182,7 @@ def _pattern_search(vals, xq, p, theta, steps):
         k, l = (j + 1) % ATOM_COUNT, (j + 2) % ATOM_COUNT
         trial = vals[:, c] + np.array([[1.0], [-1.0]]) * h[:, c]
         fj, gj = (trial, vals[:, j + ATOM_COUNT]) if c < ATOM_COUNT else (vals[:, j], trial)
-        vj, wj = _atom_terms(fj, gj, p, theta)
+        vj, wj = _atom_terms(fj, gj, p)
         at, st = _solve_weights(vj, wj, v[:, k], w[:, k], v[:, l], w[:, l], x, xq, tol)
         pick, best = st.argmax(axis=0), st.max(axis=0)
         improved = best > score
@@ -211,7 +208,6 @@ def _pattern_search(vals, xq, p, theta, steps):
 def brute_force_batch(
     points: list[LambdaPoint],
     p: float,
-    theta: float = 0.5,
     budget: SearchBudget | None = None,
 ) -> list[BruteForceResult]:
     """Maximize the payoff over 3-atom step pairs whose moments equal each point.
@@ -231,17 +227,16 @@ def brute_force_batch(
     point in input order that lies outside the cone raises
     ``InfeasibleError``, the first interior point no restart reaches a
     feasible pair for raises ``NoFeasiblePairError``, and one whose witness
-    overflows float64 when scaled back to it (at p in the hundreds) raises
-    ``NonFiniteError``.
+    overflows or underflows float64 when scaled back to it (at p in the
+    hundreds, or max(x) far below 1) raises ``NonFiniteError``.
     """
     p = check_exponent(p)
-    theta = check_theta(theta)
     budget = budget if budget is not None else SearchBudget()
     targets = [x.as_array() for x in points]
     faces = [contains(x, p) for x in points]
     outside = next((i for i, face in enumerate(faces) if face is BoundaryFace.OUTSIDE), len(points))
     interior = [i for i in range(outside) if faces[i] is BoundaryFace.INTERIOR]
-    atoms = dict(zip(interior, _search([targets[i] for i in interior], p, theta, budget)))
+    atoms = dict(zip(interior, _search([targets[i] for i in interior], p, budget)))
     if outside < len(points):
         raise InfeasibleError(f"{points[outside]} lies outside the cone")
     results = []
@@ -251,18 +246,17 @@ def brute_force_batch(
             atoms[i] = ((1.0, u1, -u2 if face is BoundaryFace.FACE3 else u2),)
         witness = StepPair(atoms[i])
         residual = math.hypot(*(moment(witness, p).as_array() - target))
-        results.append(BruteForceResult(payoff(witness, p, theta), witness, residual))
+        results.append(BruteForceResult(payoff(witness, p), witness, residual))
     return results
 
 
 def brute_force_bellman(
     x: LambdaPoint,
     p: float,
-    theta: float = 0.5,
     budget: SearchBudget | None = None,
 ) -> BruteForceResult:
     """``brute_force_batch`` at the single point ``x``."""
-    return brute_force_batch([x], p, theta, budget)[0]
+    return brute_force_batch([x], p, budget)[0]
 
 
 def _start_values(budget):
@@ -284,7 +278,7 @@ def _start_values(budget):
     return vals
 
 
-def _search(targets, p, theta, budget):
+def _search(targets, p, budget):
     """Atoms of the best feasible pair found for each interior query, in order."""
     if not targets:
         return []
@@ -295,14 +289,14 @@ def _search(targets, p, theta, budget):
         part = np.array(targets[lo:lo + chunk])
         xq, vals = part / part.max(axis=1, keepdims=True), np.tile(starts, (len(part), 1))
         with np.errstate(all="ignore"):  # overflow and singular solves score as infeasible
-            vals, a, score = _pattern_search(vals, xq, p, theta, budget.local_steps)
+            vals, a, score = _pattern_search(vals, xq, p, budget.local_steps)
         shape = (len(part), budget.restarts)
         for q in zip(part, vals.reshape(shape + (-1,)), a.reshape(shape + (-1,)), score.reshape(shape)):
-            found.append(_witness_atoms(*q, p, theta, budget))
+            found.append(_witness_atoms(*q, p, budget))
     return found
 
 
-def _witness_atoms(target, vals, a, score, p, theta, budget):
+def _witness_atoms(target, vals, a, score, p, budget):
     """Unit-mass atoms of the best of one query's restarts, scaled back to ``target``."""
     scale = target.max()
     best = int(np.argmax(score))
@@ -312,20 +306,27 @@ def _witness_atoms(target, vals, a, score, p, theta, budget):
     f, g = vals[best, :ATOM_COUNT], vals[best, ATOM_COUNT:]
     # scale each atom to largest moment 1 (its weight takes the factor), then
     # the pair to unit mass and x: no witness moment then exceeds 3 max(x)
-    top = _atom_terms(f, g, p, theta)[0].max(axis=1)
+    top = _atom_terms(f, g, p)[0].max(axis=1)
     w = a[best] * top
     with np.errstate(all="ignore"):
-        c = (scale * w.sum() / top) ** (1.0 / p)
-    if not np.isfinite(c).all():
+        q = scale * w.sum() / top
+    # each atom's scale c = q**(1/p) needs q normal: a subnormal q has lost
+    # the digits that put the witness's moments on x
+    if not ((sys.float_info.min <= q) & (q <= sys.float_info.max)).all():
         raise NonFiniteError(f"scaling the witness for {target.tolist()} back from max(x) = 1"
-                             f" overflows float64 at p={p!r}")
+                             f" overflows or underflows float64 at p={p!r}")
+    c = q ** (1.0 / p)
     return tuple(zip((w / w.sum()).tolist(), (f * c).tolist(), (g * c).tolist()))
 
 
-def format_witness(x: LambdaPoint, p: float, theta: float, result: BruteForceResult) -> str:
-    """Line serialization: header with query and value, then one atom per line."""
+def format_witness(x: LambdaPoint, p: float, result: BruteForceResult) -> str:
+    """Line serialization: header with query and value, then one atom per line.
+
+    The header names the midpoint weight as ``theta=0.5``, which parsers of
+    this format read.
+    """
     head = (
-        f"x={x.x1!r},{x.x2!r},{x.x3!r} p={p!r} theta={theta!r} "
+        f"x={x.x1!r},{x.x2!r},{x.x3!r} p={p!r} theta=0.5 "
         f"value={result.value!r} residual={result.residual!r}"
     )
     rows = [f"w={a!r} f={fv!r} g={gv!r}" for a, fv, gv in result.witness.atoms]

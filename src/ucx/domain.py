@@ -3,12 +3,12 @@
 A point x = (x1, x2, x3) collects the averaged p-th moments
 (|f|^p, |g|^p, |f-g|^p) of a function pair.  The reachable set is the
 convex cone cut out by the three p-th-root triangle inequalities; on its
-boundary the pair is forced to be collinear, which pins the payoff down
-to explicit formulas.  The theta=1/2 boundary slice at x3 = 1 is the curve
-(s, g(s), 1), s >= 2**(-p), with boundary payoff f(s).  It is carried on
-the compact section of the cone (largest p-th root 1), where the whole
-slice, s -> oo included, is parametrized by its payoff root tau in [0, 1]
-(``section_profile``).
+boundary the pair is forced to be collinear, which pins the payoff, the
+midpoint's |(f+g)/2|^p, down to explicit formulas.  The boundary slice at
+x3 = 1 is the curve (s, g(s), 1), s >= 2**(-p), with boundary payoff f(s).
+It is carried on the compact section of the cone (largest p-th root 1),
+where the whole slice, s -> oo included, is parametrized by its payoff
+root tau in [0, 1] (``section_profile``).
 """
 
 from __future__ import annotations
@@ -38,12 +38,6 @@ def check_eps(eps: float | None, allow_zero: bool = True) -> float:
     if not (lo_ok and math.isfinite(eps) and eps <= 2.0):
         raise DomainError(f"eps must lie in {'[0, 2]' if allow_zero else '(0, 2]'}, got {eps!r}")
     return float(eps)
-
-
-def check_theta(theta: float) -> float:
-    if not (math.isfinite(theta) and 0.0 <= theta <= 1.0):
-        raise DomainError(f"theta must lie in [0, 1], got {theta!r}")
-    return float(theta)
 
 
 class BoundaryFace(enum.Enum):
@@ -110,22 +104,23 @@ def contains(x: LambdaPoint, p: float) -> BoundaryFace:
     return BoundaryFace.INTERIOR
 
 
-def face_value(face: BoundaryFace, u, p: float, theta: float):
-    """Collinear-pair payoff on one face, from the p-th roots u = (u1, u2, u3).
+def face_value(face: BoundaryFace, u, p: float):
+    """Collinear-pair midpoint payoff on one face, from the p-th roots u = (u1, u2, u3).
 
-    The roots may be floats or equal-shape arrays; the result has the same
-    shape.  No face test is made: the caller supplies the face.
+    Face 3 carries the pair (u1, -u2) and face 1 the pair (u2 + u3, u2),
+    with payoff roots |u1 - u2|/2 and u2 + u3/2; face 2 is the x1 <-> x2
+    mirror of face 1.  The roots may be floats or equal-shape arrays; the
+    result has the same shape.  No face test is made: the caller supplies
+    the face.
     """
     u1, u2, u3 = u
     if face is BoundaryFace.FACE3:
-        return abs(theta * u1 - (1.0 - theta) * u2) ** p
-    if face is BoundaryFace.FACE1:
-        return (theta * u3 + u2) ** p
-    return (u1 + (1.0 - theta) * u3) ** p
+        return abs(0.5 * u1 - 0.5 * u2) ** p
+    return (0.5 * u3 + (u2 if face is BoundaryFace.FACE1 else u1)) ** p
 
 
 def section_profile(tau, p: float):
-    """The theta=1/2 slice on the compact section of the cone, by its payoff root tau.
+    """The slice on the compact section of the cone, by its payoff root tau.
 
     The slice points (s, g(s), 1), s >= 2**(-p), scaled to largest p-th root
     1, have roots (tau + 1/2, 1/2 - tau, 1) for tau <= 1/2 (face 3) and

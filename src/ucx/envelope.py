@@ -4,14 +4,15 @@ The value function is the minimal concave majorant of the boundary payoff
 on the moment cone.  Boundary data and value function are both degree-1
 homogeneous, so at any query point the value is the best conic (nonnegative)
 combination of boundary samples hitting that point, and samples from one
-compact section of the cone suffice.  At theta = 1/2 both are also
-symmetric under x1 <-> x2, so on the plane x1 = x2 a sample counts through
-the average with its mirror, and the best combination reduces to the upper
-concave hull of one variable: the sample's x3 and payoff per unit of
-x1 + x2.  Restricting it to a finite sample set yields a certified
-under-approximation that sharpens as the sampling density grows.  This
-route is independent of the tangent-plane certificates and of the step-pair
-search, which is what makes the three-way sandwich test meaningful.
+compact section of the cone suffice.  The payoff is the midpoint's,
+|(f+g)/2|^p, so both are also symmetric under x1 <-> x2: on the plane
+x1 = x2 a sample counts through the average with its mirror, and the best
+combination reduces to the upper concave hull of one variable, the
+sample's x3 and payoff per unit of x1 + x2.  Restricting it to a finite
+sample set yields a certified under-approximation that sharpens as the
+sampling density grows.  This route is independent of the tangent-plane
+certificates and of the step-pair search, which is what makes the
+three-way sandwich test meaningful.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ RAY_RTOL = 16 * 2.0**-53
 
 @dataclass(frozen=True)
 class ObstacleGrid:
-    """Sampled boundary points with their theta = 1/2 payoff values.
+    """Sampled boundary points with their midpoint payoff values.
 
     Points lie on the compact boundary section where the largest p-th root
-    is 1; every boundary point is a nonnegative multiple of one of them.
+    is 1; every boundary point is a nonnegative multiple of one of them or
+    of its x1 <-> x2 mirror.
     """
 
     points: np.ndarray
@@ -53,14 +55,16 @@ class EnvelopeQuery:
 
 
 def sample_boundary(p: float, n_per_face: int) -> ObstacleGrid:
-    """Sample each cone face once along its p-th-root parametrization.
+    """Sample faces 3 and 1 along their p-th-root parametrization: 2 n + 1 points.
 
     With ``t`` on ``n_per_face`` equispaced points of [0, 1], the roots
-    (t, 1-t, 1), (1, t, 1-t) and (t, 1, 1-t) sweep faces 3, 1 and 2, and
-    the points are their p-th powers.  The face-3 midpoint (2^-p, 2^-p, 1)
-    is appended because an even ``n_per_face`` misses t = 1/2: it is the
-    ray of the antipodal point (1, 1, 2^p), without which slice queries
-    near x3 = 2^p leave the sampled cone.
+    (t, 1-t, 1) and (1, t, 1-t) sweep faces 3 and 1, and the points are
+    their p-th powers.  The face-3 midpoint (2^-p, 2^-p, 1) is appended
+    because an even ``n_per_face`` misses t = 1/2: it is the ray of the
+    antipodal point (1, 1, 2^p), without which slice queries near x3 = 2^p
+    leave the sampled cone.  Face 2 is the x1 <-> x2 mirror of face 1, with
+    the mirrored payoff, and ``concavify`` averages each sample with its
+    mirror, so its samples would repeat those of face 1 bit for bit.
     """
     p = check_exponent(p)
     if n_per_face < 2:
@@ -70,10 +74,9 @@ def sample_boundary(p: float, n_per_face: int) -> ObstacleGrid:
     faces = (
         (BoundaryFace.FACE3, (t3, 1.0 - t3, np.ones_like(t3))),
         (BoundaryFace.FACE1, (np.ones_like(t), t, 1.0 - t)),
-        (BoundaryFace.FACE2, (t, np.ones_like(t), 1.0 - t)),
     )
     points = np.concatenate([np.column_stack(u) ** p for _, u in faces])
-    values = np.concatenate([face_value(face, u, p, 0.5) for face, u in faces])
+    values = np.concatenate([face_value(face, u, p) for face, u in faces])
     return ObstacleGrid(points, values)
 
 

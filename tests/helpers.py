@@ -6,7 +6,8 @@ import mpmath
 import numpy as np
 
 from ucx.bellman import WEIGHT_TOL
-from ucx.domain import LambdaPoint, check_exponent, check_theta, contains, face_value
+from ucx.domain import LambdaPoint, check_exponent, contains, face_value
+from ucx.envelope import ObstacleGrid, sample_boundary
 from ucx.errors import DomainError, OutOfRangeError, UcxError
 
 
@@ -25,18 +26,30 @@ def central_diff(fn, s: float, h: float) -> float:
     return (float(fn(s + h)) - float(fn(s - h))) / (2.0 * h)
 
 
-def boundary_value(x: LambdaPoint, p: float, theta: float = 0.5) -> float:
-    """Collinear-pair payoff at a boundary point, by the face ``contains`` reports.
+def boundary_value(x: LambdaPoint, p: float) -> float:
+    """Collinear-pair midpoint payoff at a boundary point, by the face ``contains`` reports.
 
     On an edge several face formulas apply; they agree there (the data is
     continuous across edges), and the first face in the order of
     ``contains`` is used.
     """
-    theta = check_theta(theta)
     face = contains(x, p)
     if not face.on_boundary:
         raise NotOnBoundaryError(f"{x} is {face.value}, not on the cone boundary")
-    return face_value(face, [c ** (1.0 / p) for c in (x.x1, x.x2, x.x3)], p, theta)
+    return face_value(face, [c ** (1.0 / p) for c in (x.x1, x.x2, x.x3)], p)
+
+
+def three_face_grid(p: float, n_per_face: int) -> ObstacleGrid:
+    """``sample_boundary`` with face 2 sampled too, as faces 3 and 1 are.
+
+    The face-2 roots (t, 1, 1-t) are appended, with their payoff
+    (t + 0.5 (1 - t))^p: the x1 <-> x2 mirrors of the face-1 samples.
+    """
+    grid = sample_boundary(p, n_per_face)
+    t = np.linspace(0.0, 1.0, n_per_face)
+    face2 = np.column_stack([t, np.ones_like(t), 1.0 - t]) ** p
+    return ObstacleGrid(np.vstack([grid.points, face2]),
+                        np.concatenate([grid.values, (t + 0.5 * (1.0 - t)) ** p]))
 
 
 def slice_lower_bound(p: float) -> float:
@@ -46,7 +59,7 @@ def slice_lower_bound(p: float) -> float:
 
 @dataclass(frozen=True)
 class BoundaryProfile:
-    """Slice-parametrized boundary data at theta = 1/2.
+    """Slice-parametrized boundary data.
 
     ``g`` is the partner coordinate of the boundary curve (s, g(s), 1) and
     ``f`` the boundary payoff along it; both come with analytic derivatives.
@@ -81,7 +94,7 @@ def profile_arrays(s, p: float):
 
 
 def boundary_profile(s: float, p: float) -> BoundaryProfile:
-    """Boundary data (g(s), f(s)) and derivatives on the theta=1/2 slice.
+    """Boundary data (g(s), f(s)) and derivatives on the slice.
 
     The slice form of the curve that ``ucx.domain.section_profile`` carries
     on the compact section; the tests compare the two.

@@ -147,7 +147,7 @@ def test_criterion_5_sandwich_reconstruction():
         budget = SearchBudget(restarts=200, local_steps=2000, seed=7)
         for p, eps, cert in [(4.0, 1.0, cert4), (1.5, 1.0, cert15), (2.0, 1.0, certificate(2.0))]:
             x = LambdaPoint(1.0, 1.0, eps**p)
-            res = brute_force_bellman(x, p, 0.5, budget)
+            res = brute_force_bellman(x, p, budget)
             cv = cert.value(x)
             assert res.value >= cv - 1e-6, f"p={p}: bf={res.value} cert={cv}"
             assert res.value <= cv + 1e-6

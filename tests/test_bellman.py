@@ -18,7 +18,7 @@ from ucx.bellman import (
 from ucx.certificates import certificate
 from ucx.cli import main as cli_main
 from ucx.domain import BoundaryFace, LambdaPoint, contains
-from ucx.errors import DomainError, InfeasibleError, NoFeasiblePairError
+from ucx.errors import DomainError, InfeasibleError, NoFeasiblePairError, NonFiniteError
 
 
 def pair(*atoms):
@@ -176,12 +176,12 @@ class TestBruteForce:
     def test_antipodal_boundary_point_pins_value_to_zero(self):
         # the documented probe budget; only collinear antipodal pairs are feasible
         budget = SearchBudget(restarts=200, local_steps=2000, seed=3)
-        res = brute_force_bellman(LambdaPoint(1.0, 1.0, 8.0), 3.0, 0.5, budget)
+        res = brute_force_bellman(LambdaPoint(1.0, 1.0, 8.0), 3.0, budget)
         assert res.value <= 1e-6
 
     def test_interior_point_reaches_certificate_p4(self):
         budget = SearchBudget(restarts=64, local_steps=1200, seed=3)
-        res = brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 4.0, 0.5, budget)
+        res = brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 4.0, budget)
         assert res.residual <= 2.0 * MOMENT_RTOL * np.sqrt(3.0)
         assert 15.0 / 16.0 - 1e-6 <= res.value <= 15.0 / 16.0 + 1e-12
 
@@ -195,7 +195,7 @@ class TestBruteForce:
         for x3 in [0.0, 1e-6, top * (1.0 - 1e-6), top]:
             x = LambdaPoint(1.0, 1.0, x3)
             rounding = 2.0 * MOMENT_RTOL * np.maximum(x.as_array(), max(x.x1, x.x2))
-            res = brute_force_bellman(x, p, 0.5, SearchBudget(24, 600, seed=0))
+            res = brute_force_bellman(x, p, SearchBudget(24, 600, seed=0))
             assert (np.abs(moment(res.witness, p).as_array() - x.as_array()) <= rounding).all()
             assert res.value <= cert.value(x) + np.abs(cert.c) @ rounding + 1e-15
 
@@ -206,33 +206,47 @@ class TestBruteForce:
             res = brute_force_bellman(LambdaPoint(1.0, 1.0, x3), p)
             assert len(res.witness.atoms) == 1
             assert res.value == value and res.residual == 0.0
-        faces = [((2.0**p, 1.0, 1.0), 0.3), ((1.0, 2.0**p, 1.0), 0.7), ((1.0, 2.0**p, 3.0**p), 0.2)]
-        for coords, theta in faces:
+        faces = [(2.0**p, 1.0, 1.0), (1.0, 2.0**p, 1.0), (1.0, 2.0**p, 3.0**p)]
+        assert [contains(LambdaPoint(*c), p) for c in faces] == [
+            BoundaryFace.FACE1, BoundaryFace.FACE2, BoundaryFace.FACE3]
+        for coords in faces:
             x = LambdaPoint(*coords)
-            res = brute_force_bellman(x, p, theta)
+            res = brute_force_bellman(x, p)
             assert len(res.witness.atoms) == 1
-            assert res.value == pytest.approx(boundary_value(x, p, theta), rel=1e-14)
+            assert res.value == pytest.approx(boundary_value(x, p), rel=1e-14)
             assert res.residual <= 1e-15 * np.linalg.norm(x.as_array())
 
     def test_tiny_budget_without_feasible_pair_raises(self):
         with pytest.raises(NoFeasiblePairError):
-            brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 3.0, 0.5, SearchBudget(1, 1, seed=1))
+            brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 3.0, SearchBudget(1, 1, seed=1))
 
     def test_extreme_query_scales(self):
         # the search runs at x / max(x): the cross products of moments of
         # size 1e-200 or 1e200 would under- or overflow
         budget = SearchBudget(8, 200, seed=0)
-        unit = brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 1.5, 0.5, budget)
+        unit = brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 1.5, budget)
         for s in [1e-200, 1e200]:
-            res = brute_force_bellman(LambdaPoint(s, s, s), 1.5, 0.5, budget)
+            res = brute_force_bellman(LambdaPoint(s, s, s), 1.5, budget)
             assert res.value == pytest.approx(s * unit.value, rel=1e-13)
             # the unit-mass rescale by s**(1/p) is off by about |log s| ulps
             assert res.residual <= 1e-12 * s
 
+    @pytest.mark.parametrize("p", [50.0, 400.0])
+    def test_witness_scale_underflow(self, p):
+        # at x = 1e-300 an atom's scale c**p = max(x) W / top falls below the
+        # normal floats: rounded to a subnormal or 0, it left a residual of
+        # 9.3e-4 of x at p = 50 and 1.41 x at p = 400
+        budget = SearchBudget(24, 600, seed=0)
+        for s in [1.0, 1e-100, 1e-200]:
+            res = brute_force_bellman(LambdaPoint(s, s, s), p, budget)
+            assert res.residual <= 1e-12 * s
+        with pytest.raises(NonFiniteError, match="underflows"):
+            brute_force_bellman(LambdaPoint(1e-300, 1e-300, 1e-300), p, budget)
+
     def test_witness_consistent_with_reported_value(self):
         budget = SearchBudget(restarts=16, local_steps=400, seed=8)
         x = LambdaPoint(1.0, 1.0, 1.0)
-        res = brute_force_bellman(x, 2.0, 0.5, budget)
+        res = brute_force_bellman(x, 2.0, budget)
         assert payoff(res.witness, 2.0) == pytest.approx(res.value, rel=1e-12)
         m = moment(res.witness, 2.0)
         assert np.linalg.norm(m.as_array() - x.as_array()) == pytest.approx(
@@ -242,8 +256,8 @@ class TestBruteForce:
     def test_deterministic_bit_for_bit(self):
         budget = SearchBudget(restarts=16, local_steps=300, seed=12345)
         x = LambdaPoint(1.0, 1.0, 1.0)
-        a = brute_force_bellman(x, 1.5, 0.5, budget)
-        b = brute_force_bellman(x, 1.5, 0.5, budget)
+        a = brute_force_bellman(x, 1.5, budget)
+        b = brute_force_bellman(x, 1.5, budget)
         assert a.value == b.value and a.residual == b.residual
         assert a.witness == b.witness
 
@@ -252,7 +266,7 @@ class TestBruteForce:
         for p, cert in [(4.0, certificate(4.0)), (1.5, certificate(1.5, 1.0))]:
             for x3 in [0.5, 1.0, 2.0]:
                 x = LambdaPoint(1.0, 1.0, x3)
-                res = brute_force_bellman(x, p, 0.5, budget)
+                res = brute_force_bellman(x, p, budget)
                 # certified domination holds at the witness's actual moments
                 m = moment(res.witness, p)
                 assert res.value <= cert.value(m) + 1e-9
@@ -260,16 +274,16 @@ class TestBruteForce:
     def test_scaling_lower_bound(self):
         budget = SearchBudget(restarts=32, local_steps=600, seed=5)
         x = LambdaPoint(1.0, 1.0, 1.0)
-        base = brute_force_bellman(x, 1.5, 0.5, budget)
+        base = brute_force_bellman(x, 1.5, budget)
         for lam in [0.5, 2.0]:
-            scaled = brute_force_bellman(LambdaPoint(lam, lam, lam), 1.5, 0.5, budget)
+            scaled = brute_force_bellman(LambdaPoint(lam, lam, lam), 1.5, budget)
             assert scaled.value >= lam * base.value - 5e-2 * lam
 
     def test_format_witness_layout(self):
         budget = SearchBudget(restarts=4, local_steps=50, seed=0)
         x = LambdaPoint(1.0, 1.0, 1.0)
-        res = brute_force_bellman(x, 2.0, 0.5, budget)
-        text = format_witness(x, 2.0, 0.5, res)
+        res = brute_force_bellman(x, 2.0, budget)
+        text = format_witness(x, 2.0, res)
         lines = text.splitlines()
         assert lines[0].startswith("x=1.0,1.0,1.0 p=2.0 theta=0.5 value=")
         assert len(lines) == 4
@@ -304,10 +318,10 @@ class TestBatch:
     def test_batch_equals_one_call_per_point(self, p):
         points = slice_rows(p, 7)
         budget = SearchBudget(restarts=16, local_steps=400, seed=3)
-        batch = brute_force_batch(points, p, 0.5, budget)
+        batch = brute_force_batch(points, p, budget)
         assert len(batch) == len(points)
         for x, res in zip(points, batch):
-            assert same_result(res, brute_force_bellman(x, p, 0.5, budget))
+            assert same_result(res, brute_force_bellman(x, p, budget))
         assert len(batch[0].witness.atoms) == len(batch[-1].witness.atoms) == 1
 
     def test_empty_batch(self):
@@ -326,33 +340,33 @@ class TestBatch:
         p, budget = 3.0, SearchBudget(restarts=8, local_steps=300, seed=1)
         points = [LambdaPoint(1.0, 1.0, 1.0), LambdaPoint(2.0**p, 1.0, 1.0), LambdaPoint(1.0, 1.0, 0.0),
                   LambdaPoint(0.5, 1.0, 2.0), LambdaPoint(1.0, 2.0**p, 3.0**p)]
-        batch = brute_force_batch(points, p, 0.3, budget)
+        batch = brute_force_batch(points, p, budget)
         assert [len(r.witness.atoms) for r in batch] == [3, 1, 1, 3, 1]
         for x, res in zip(points, batch):
-            assert same_result(res, brute_force_bellman(x, p, 0.3, budget))
+            assert same_result(res, brute_force_bellman(x, p, budget))
 
     def test_queries_stop_at_different_steps(self, monkeypatch):
         p, budget = 1.5, SearchBudget(restarts=8, local_steps=1500, seed=2)
         points = slice_rows(p, 7)[1:-1]
         sizes = spy_batches(monkeypatch)
-        batch = brute_force_batch(points, p, 0.5, budget)
+        batch = brute_force_batch(points, p, budget)
         queries = [q for _, q in sizes]
         # the batch shrinks as queries stop, one stage per stopping cycle
         assert queries == sorted(queries, reverse=True) and len(set(queries)) >= 3
         assert queries[0] == 5 and all(rows == 8 * q for rows, q in sizes)
         assert len(sizes) < budget.local_steps + 1
         for x, res in zip(points, batch):
-            assert same_result(res, brute_force_bellman(x, p, 0.5, budget))
+            assert same_result(res, brute_force_bellman(x, p, budget))
 
     @pytest.mark.parametrize("limit", [1, 17, 40])
     def test_chunks_of_whole_queries(self, monkeypatch, limit):
         # BATCH_ROWS below one query's restarts still searches one query at a time
         p, budget = 4.0, SearchBudget(restarts=8, local_steps=200, seed=0)
         points = slice_rows(p, 9)
-        whole = brute_force_batch(points, p, 0.5, budget)
+        whole = brute_force_batch(points, p, budget)
         monkeypatch.setattr(bellman, "BATCH_ROWS", limit)
         sizes = spy_batches(monkeypatch)
-        chunked = brute_force_batch(points, p, 0.5, budget)
+        chunked = brute_force_batch(points, p, budget)
         assert max(rows for rows, _ in sizes) == max(8, limit // 8 * 8)
         assert all(same_result(a, b) for a, b in zip(whole, chunked))
 
@@ -360,15 +374,15 @@ class TestBatch:
         # one restart and one step: rows 1-4 of this slice reach a pair, rows 5-7 do not
         p, budget = 3.0, SearchBudget(restarts=1, local_steps=1, seed=0)
         points = slice_rows(p, 9)
-        assert all(r.value >= 0.0 for r in brute_force_batch(points[:5], p, 0.5, budget))
+        assert all(r.value >= 0.0 for r in brute_force_batch(points[:5], p, budget))
         for order, named in [(points, 5.0), ([points[7], points[1], points[5]], 7.0)]:
             with pytest.raises(NoFeasiblePairError, match=rf"\[1\.0, 1\.0, {named}\]"):
-                brute_force_batch(order, p, 0.5, budget)
+                brute_force_batch(order, p, budget)
         outside = LambdaPoint(1.0, 1.0, 100.0)
         with pytest.raises(NoFeasiblePairError):
-            brute_force_batch([points[5], outside], p, 0.5, budget)
+            brute_force_batch([points[5], outside], p, budget)
         with pytest.raises(InfeasibleError):
-            brute_force_batch([points[1], outside, points[5]], p, 0.5, budget)
+            brute_force_batch([points[1], outside, points[5]], p, budget)
         argv = ["envelope", "--p", "3", "--grid-n", "9", "--restarts", "1", "--local-steps", "1"]
         assert cli_main(argv) == 2
         out, err = capsys.readouterr()

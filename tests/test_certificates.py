@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -209,6 +210,15 @@ class TestVerifyAppendix:
     def test_eps_required_below_two(self):
         with pytest.raises(DomainError):
             verify_appendix(1.5)
+
+    def test_large_p_all_pass(self):
+        # 2**p overflows float64 at p = 2000; the section scans never form it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = verify_appendix(2000.0, grid_n=11)
+            reports.append(sharpness_check(2000.0, None, 11))
+        assert all(r.passed for r in reports), [r.line() for r in reports]
+        assert len(reports) == 6
 
     def test_section_scan_reports_tau(self):
         # 2 grid_n - 1 payoff roots tau in [0, 1], one fewer for the claims past tau = 0

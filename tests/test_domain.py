@@ -95,8 +95,7 @@ class TestBoundaryValue:
                 )
 
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
-    @pytest.mark.parametrize("theta", [0.25, 0.5])
-    def test_face_formulas_agree_on_edges(self, p, theta):
+    def test_face_formulas_agree_on_edges(self, p):
         # each edge meets two faces; given by p-th roots, scaled off the unit
         edges = [
             ((0.7, 0.0, 0.7), (BoundaryFace.FACE3, BoundaryFace.FACE1)),
@@ -104,10 +103,10 @@ class TestBoundaryValue:
             ((0.7, 0.7, 0.0), (BoundaryFace.FACE1, BoundaryFace.FACE2)),
         ]
         for u, faces in edges:
-            first, second = (face_value(face, u, p, theta) for face in faces)
+            first, second = (face_value(face, u, p) for face in faces)
             assert first == pytest.approx(second, rel=1e-14)
             x = LambdaPoint(*(r**p for r in u))
-            assert boundary_value(x, p, theta) == pytest.approx(first, rel=1e-14)
+            assert boundary_value(x, p) == pytest.approx(first, rel=1e-14)
 
     def test_near_edge_point_within_face_tolerance(self):
         # roots (1, 5e-10, 1) sit within FACE_TOL of the edge (1, 0, 1): FACE3
@@ -115,11 +114,6 @@ class TestBoundaryValue:
         x = LambdaPoint(1.0, 5e-10**3, 1.0)
         assert contains(x, 3.0) is BoundaryFace.FACE3
         assert boundary_value(x, 3.0) == pytest.approx(0.125 * (1.0 - 5e-10) ** 3, rel=1e-15)
-
-    def test_general_theta_supported(self):
-        # first face case with theta != 1/2: |t*u1 - (1-t)*u2|^p
-        v = boundary_value(LambdaPoint(1.0, 1.0, 2.0**2), 2.0, theta=0.25)
-        assert v == pytest.approx((0.25 - 0.75) ** 2, abs=1e-12)
 
 
 class TestBoundaryProfile:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anchors import PAYOFF_P15_E1
-from helpers import boundary_value
+from helpers import boundary_value, three_face_grid
 from ucx.bellman import SearchBudget, brute_force_bellman
 from ucx.certificates import certificate
 from ucx.domain import LambdaPoint, contains
@@ -31,8 +31,8 @@ def slice_values(grid, x3s):
 
 class TestSampleBoundary:
     def test_minimal_grid(self):
-        # two samples on each of the three faces, plus the face-3 midpoint
-        assert len(sample_boundary(2.0, 2)) == 7
+        # two samples on each of faces 3 and 1, plus the face-3 midpoint
+        assert len(sample_boundary(2.0, 2)) == 5
 
     def test_all_points_on_boundary(self, grid_p4):
         for pt in grid_p4.points:
@@ -43,7 +43,7 @@ class TestSampleBoundary:
 
     def test_values_match_boundary_data(self, grid_p4):
         for pt, value in zip(grid_p4.points, grid_p4.values):
-            expected = boundary_value(LambdaPoint(*pt), 4.0, 0.5)
+            expected = boundary_value(LambdaPoint(*pt), 4.0)
             assert value == pytest.approx(expected, abs=1e-12)
 
     def test_antipodal_anchor_present_with_zero_value(self, grid_p4):
@@ -114,7 +114,7 @@ class TestConcavify:
 
     def test_majorizes_obstacle_at_samples(self, grid_p2):
         # a sample averaged with its mirror lies on the slice, with the same
-        # payoff at theta = 1/2
+        # midpoint payoff
         idx = np.linspace(0, len(grid_p2) - 1, 29, dtype=int)
         for i in idx:
             a, b, c = grid_p2.points[i]
@@ -191,20 +191,36 @@ class TestEnvelopeSlice:
 
 
 class TestHighsOracle:
-    """The slice hull against the full 3-row conic LP over the same samples."""
+    """The slice hull against the full 3-row conic LP over the same samples and their mirrors."""
 
     def test_slice_matches_conic_lp(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
         for p in [1.02, 1.25, 1.5, 1.75, 2.0, 3.0, 4.0, 8.0]:
             for n_per_face in [24, 60]:
                 grid = sample_boundary(p, n_per_face)
+                points = np.vstack([grid.points, grid.points[:, [1, 0, 2]]])
+                values = np.concatenate([grid.values, grid.values])
                 for x3 in np.linspace(0.0, 2.0**p, 25):
                     x = LambdaPoint(1.0, 1.0, float(x3))
-                    ref = linprog(-grid.values, A_eq=grid.points.T, b_eq=x.as_array(),
+                    ref = linprog(-values, A_eq=points.T, b_eq=x.as_array(),
                                   bounds=(0, None), method="highs")
                     assert ref.status == 0, (p, n_per_face, x3, ref.message)
                     got = concavify(grid, x).result
                     assert got == pytest.approx(-ref.fun, abs=1e-9), (p, n_per_face, x3)
+
+
+class TestFaceTwoMirror:
+    """Face 2 is the mirror of face 1: sampling it too changes no slice query."""
+
+    @pytest.mark.parametrize("p", [1.02, 1.25, 1.5, 2.0, 4.0, 8.0, 60.0])
+    def test_three_face_grid_gives_the_same_hull(self, p):
+        for n_per_face in [2, 7, 24, 61]:
+            grid, old = sample_boundary(p, n_per_face), three_face_grid(p, n_per_face)
+            assert len(old) == len(grid) + n_per_face
+            for i in range(26):
+                x = LambdaPoint(1.0, 1.0, i * 2.0**p / 25)
+                new_q, old_q = concavify(grid, x), concavify(old, x)
+                assert (new_q.result, new_q.active_weights) == (old_q.result, old_q.active_weights)
 
 
 class TestSandwich:
@@ -212,6 +228,6 @@ class TestSandwich:
         x = LambdaPoint(1.0, 1.0, 1.0)
         cert = certificate(4.0).value(x)
         env = concavify(grid_p4, x).result
-        bf = brute_force_bellman(x, 4.0, 0.5, SearchBudget(48, 800, seed=2)).value
+        bf = brute_force_bellman(x, 4.0, SearchBudget(48, 800, seed=2)).value
         assert bf - 2e-2 <= env <= cert + 1e-9
         assert bf <= cert + 1e-9
