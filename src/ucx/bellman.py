@@ -22,7 +22,7 @@ import numpy as np
 
 from .certificates import VerificationReport
 from .domain import BoundaryFace, LambdaPoint, check_eps, check_exponent, contains
-from .errors import DomainError, InfeasibleError, NoFeasiblePairError, NonFiniteError
+from .errors import DomainError, InfeasibleError, NoFeasiblePairError, NonFiniteError, WitnessError
 from .moduli import delta
 
 #: weights must sum to one within this slack
@@ -42,9 +42,14 @@ MOMENT_RTOL = 64 * 2.0**-53
 STEP_FLOOR = 1e-12
 #: rows (queries x restarts) one pattern search holds at most; larger batches
 #: run in chunks of whole queries, so memory stays bounded
-BATCH_ROWS = 4096
-#: a length-3 axis extended cyclically, so components i+1 and i+2 are slices
-_CYCLE = [0, 1, 2, 0, 1]
+BATCH_ROWS = 256
+#: pattern-search moves of one atom's (f_j, g_j): + and - along each of
+#: (1, 0), (0, 1), (1/2, 1/2) and (1/2, -1/2), the last two stepping its
+#: midpoint sum and its difference; a poll tries them for every atom
+_MOVE_F = np.array([1.0, -1.0, 0.0, -0.0, 0.5, -0.5, 0.5, -0.5])
+_MOVE_G = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, -0.5, 0.5])
+#: weight solves per poll and row
+POLL_TRIALS = ATOM_COUNT * len(_MOVE_F)
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ def moment(pair: StepPair, p: float) -> LambdaPoint:
     # one dot product per contiguous moment row: a matrix-vector product
     # over the strided columns could round differently
     v = _atom_terms(pair.f_values, pair.g_values, p)[0]
-    return LambdaPoint(*(float(pair.weights @ row) for row in v.T.copy()))
+    return LambdaPoint(*(float(pair.weights @ row) for row in v))
 
 
 def payoff(pair: StepPair, p: float) -> float:
@@ -96,9 +101,12 @@ class SearchBudget:
 
     Restart i starts from values drawn from PCG64 seeded with (seed, i), the
     same for every query, so identical budgets reproduce bit-for-bit.  A
-    batch of queries is searched as one (queries x restarts) array in which
-    each query stops on its own, so each result equals that of a search of
-    its query alone.
+    restart scores its start, then spends ``2 * local_steps`` weight solves
+    as ``local_steps // 12`` polls (at least one) of ``POLL_TRIALS`` = 24
+    moves, and stops early once all its steps are at the floor.  Every
+    row's arithmetic is its own, so a batch of queries, searched as one
+    (queries x restarts) array, gives each query the result of a search of
+    it alone.
     """
 
     restarts: int = 64
@@ -121,88 +129,97 @@ class BruteForceResult:
 
 
 def _atom_terms(f, g, p):
-    """Moment vectors (|f|^p, |g|^p, |f-g|^p) on a new last axis, and midpoint payoffs."""
-    d = f - g
-    v = np.empty(d.shape + (3,))
-    v[..., 0], v[..., 1], v[..., 2] = np.abs(f) ** p, np.abs(g) ** p, np.abs(d) ** p
-    return v, np.abs(0.5 * f + 0.5 * g) ** p
+    """Moment vectors (|f|^p, |g|^p, |f-g|^p) on a new first axis, and midpoint payoffs."""
+    return np.stack([np.abs(f) ** p, np.abs(g) ** p, np.abs(f - g) ** p]), np.abs(0.5 * f + 0.5 * g) ** p
 
 
-def _solve_weights(vj, wj, vk, wk, vl, wl, x, xq, tol):
+def _cross(u, v):
+    """u x v for vectors with their components on the first axis."""
+    return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _solve_weights(vj, wj, vk, wk, vl, wl, x, tol):
     """Weights (a_j, a_k, a_l) with a_j v_j + a_k v_k + a_l v_l = x, and their scores.
 
-    Rows run over (query, restart), query-major; ``x`` holds each row's
-    query and ``xq`` each query once.  Cramer's rule: the determinant and
-    the numerators of a_k and a_l are dot products of the moved atom's v_j
-    with v_k x v_l, x x v_l and v_k x x, so the trials for atom j share
-    these cross products.  A trial with a >= 0 and moments within ``tol``
-    of x scores its payoff, the exact optimum of the inner LP for those atom
-    values; any other scores -1 minus its share of negative weight, below
-    every payoff, so a restart climbs into feasibility first.
+    Moment vectors, ``x`` and ``tol`` hold their components on the first
+    axis; the other axes broadcast, with rows last, and every number is
+    componentwise arithmetic within its row.  Cramer's rule: the numerator
+    of a_j is x . (v_k x v_l), and the determinant and the numerators of
+    a_k and a_l are dot products of the moved atom's v_j with v_k x v_l,
+    x x v_l and v_k x x, so the trials for atom j share these cross
+    products.  A trial with a >= 0 and moments within ``tol`` of x scores
+    its payoff, the exact optimum of the inner LP for those atom values;
+    any other scores -1 minus its share of negative weight, below every
+    payoff, so a restart climbs into feasibility first.  A moment |f|^p
+    that underflowed is off by up to the least normal float, so each
+    moment error counts max(a) times that on top.
     """
-    left, right = np.stack([vk, x, vk])[..., _CYCLE], np.stack([vl, vl, x])[..., _CYCLE]
-    cross = left[..., 1:4] * right[..., 2:5] - left[..., 2:5] * right[..., 1:4]
-    num = (vj[..., None, :] @ cross.transpose(1, 2, 0))[..., 0, :]
-    det = num[..., 0].copy()
-    # one matrix-vector product per query: a per-row dot product would round
-    # differently from a search of that query alone
-    num[..., 0] = (cross[0].reshape(len(xq), -1, 3) @ xq[:, :, None]).reshape(-1)
-    a = num / det[..., None]
-    m = a[..., :1] * vj + a[..., 1:2] * vk + a[..., 2:] * vl
-    feasible = (a >= 0.0).all(axis=-1) & (np.abs(m - x) <= tol).all(axis=-1)
-    neg = np.fmin(np.maximum(-a, 0.0).sum(axis=-1) / np.abs(a).sum(axis=-1), 1.0)
-    return a, np.where(feasible, a[..., 0] * wj + a[..., 1] * wk + a[..., 2] * wl, -1.0 - neg)
+    kl = _cross(vk, vl)
+    det = _dot(vj, kl)
+    a = _dot(x, kl) / det, _dot(vj, _cross(x, vl)) / det, _dot(vj, _cross(vk, x)) / det
+    slack = np.maximum(np.maximum(a[0], a[1]), a[2]) * sys.float_info.min
+    feasible = (a[0] >= 0.0) & (a[1] >= 0.0) & (a[2] >= 0.0)
+    for c in range(3):
+        feasible &= np.abs(a[0] * vj[c] + a[1] * vk[c] + a[2] * vl[c] - x[c]) + slack <= tol[c]
+    neg = np.maximum(-a[0], 0.0) + np.maximum(-a[1], 0.0) + np.maximum(-a[2], 0.0)
+    neg = np.fmin(neg / (np.abs(a[0]) + np.abs(a[1]) + np.abs(a[2])), 1.0)
+    return a, np.where(feasible, a[0] * wj + a[1] * wk + a[2] * wl, -1.0 - neg)
 
 
-def _pattern_search(vals, xq, p, steps):
-    """Cyclic pattern search over the values (f_0..f_2, g_0..g_2) of each row.
+def _pattern_search(f, g, x, p, polls):
+    """Full-poll pattern search over the atom values ``f``, ``g`` (atoms x rows).
 
-    Rows run over (query, restart), query-major; each query in ``xq`` has
-    largest coordinate 1.  Each step moves one value of every row by + and
-    - its step size in one batch and keeps the better trial if it raises
-    the score; steps start at 1/2, grow by 1.6 on success and halve
-    otherwise, down to ``STEP_FLOOR``.  A query whose steps are all at the
-    floor at the end of a cycle stops there and its rows leave the batch.
-    Returns each row's final values, the weights of its last accepted move
-    and its score.
+    Rows run over (query, restart), and column r of ``x`` is row r's query,
+    with largest coordinate 1.  Each poll scores, in one weight solve, every
+    move of ``_MOVE_F``, ``_MOVE_G`` of every atom, scaled by that (atom,
+    direction)'s step.  A row takes its best trial if it raises the score,
+    and that step grows by 1.6; every step whose two signs both failed
+    halves, down to ``STEP_FLOOR``.  Steps start at 1/2.  A row whose steps
+    are all at the floor made no move and would repeat its poll, so it
+    leaves the batch.  Returns each row's final values, the weights of its
+    last accepted move in atom order and its score.
     """
-    restarts = len(vals) // len(xq)
-    out_vals, out_a, out_score = np.empty_like(vals), np.empty((len(vals), ATOM_COUNT)), np.empty(len(vals))
-    rows = np.arange(len(vals))
-    x = np.repeat(xq, restarts, axis=0)
+    rows = np.arange(f.shape[1])
+    out_f, out_g, out_a, out_score = np.empty_like(f), np.empty_like(g), np.empty_like(f), np.empty(len(rows))
     # the payoff is at most (x1 + x2)/2 by convexity, so each
     # moment is checked relative to itself or to max(x1, x2), the larger
-    tol = MOMENT_RTOL * np.maximum(x, x[:, :2].max(axis=1, keepdims=True))
-    v, w = _atom_terms(vals[:, :ATOM_COUNT], vals[:, ATOM_COUNT:], p)
-    a, score = _solve_weights(v[:, 0], w[:, 0], v[:, 1], w[:, 1], v[:, 2], w[:, 2], x, xq, tol)
-    h = np.full(vals.shape, 0.5)
-    for it in range(steps):
-        c = it % vals.shape[1]
-        j = c % ATOM_COUNT
-        k, l = (j + 1) % ATOM_COUNT, (j + 2) % ATOM_COUNT
-        trial = vals[:, c] + np.array([[1.0], [-1.0]]) * h[:, c]
-        fj, gj = (trial, vals[:, j + ATOM_COUNT]) if c < ATOM_COUNT else (vals[:, j], trial)
-        vj, wj = _atom_terms(fj, gj, p)
-        at, st = _solve_weights(vj, wj, v[:, k], w[:, k], v[:, l], w[:, l], x, xq, tol)
-        pick, best = st.argmax(axis=0), st.max(axis=0)
-        improved = best > score
-        sel = improved.nonzero()[0]
-        ps = pick[sel]
-        vals[sel, c], v[sel, j], w[sel, j] = trial[ps, sel], vj[ps, sel], wj[ps, sel]
-        a[sel[:, None], [j, k, l]], score[sel] = at[ps, sel], best[sel]
-        h[:, c] = np.maximum(h[:, c] * np.where(improved, 1.6, 0.5), STEP_FLOOR)
-        if c == vals.shape[1] - 1:
-            stop = (h <= STEP_FLOOR).reshape(len(xq), -1).all(axis=1)
-            if stop.any():
-                done, xq = np.repeat(stop, restarts), xq[~stop]
-                out_vals[rows[done]], out_a[rows[done]] = vals[done], a[done]
-                out_score[rows[done]] = score[done]
-                rows, vals, v, w, a, score, h, x, tol = (
-                    arr[~done] for arr in (rows, vals, v, w, a, score, h, x, tol))
-                if not len(xq):
-                    break
-    out_vals[rows], out_a[rows], out_score[rows] = vals, a, score
-    return out_vals, out_a, out_score
+    tol = MOMENT_RTOL * np.maximum(x, np.maximum(x[0], x[1]))
+    v, w = _atom_terms(f, g, p)
+    a, score = _solve_weights(v[:, 0], w[0], v[:, 1], w[1], v[:, 2], w[2], x, tol)
+    a = np.array(a)
+    h = np.full((ATOM_COUNT, len(_MOVE_F) // 2, len(rows)), 0.5)
+    for _ in range(polls):
+        step = np.repeat(h, 2, axis=1)
+        tf, tg = f[:, None] + step * _MOVE_F[:, None], g[:, None] + step * _MOVE_G[:, None]
+        vt, wt = _atom_terms(tf, tg, p)
+        # atom j moves against atoms k = j + 1 and l = j + 2 (mod 3)
+        vk, vl = np.roll(v, -1, axis=1)[:, :, None], np.roll(v, -2, axis=1)[:, :, None]
+        wk, wl = np.roll(w, -1, axis=0)[:, None], np.roll(w, -2, axis=0)[:, None]
+        at, st = _solve_weights(vt, wt, vk, wk, vl, wl, x[:, None, None], tol[:, None, None])
+        up = st > score
+        h = np.where(up.reshape(h.shape[:2] + (2, -1)).any(axis=2), h, np.maximum(0.5 * h, STEP_FLOOR))
+        j, t = np.divmod(st.reshape(POLL_TRIALS, -1).argmax(axis=0), len(_MOVE_F))
+        moved = up[j, t, np.arange(len(rows))].nonzero()[0]
+        j, t = j[moved], t[moved]
+        f[j, moved], g[j, moved] = tf[j, t, moved], tg[j, t, moved]
+        v[:, j, moved], w[j, moved], score[moved] = vt[:, j, t, moved], wt[j, t, moved], st[j, t, moved]
+        for i in range(ATOM_COUNT):
+            a[(j + i) % ATOM_COUNT, moved] = at[i][j, t, moved]
+        h[j, t // 2, moved] *= 1.6
+        done = (h <= STEP_FLOOR).all(axis=(0, 1))
+        if done.any():
+            out_f[:, rows[done]], out_g[:, rows[done]] = f[:, done], g[:, done]
+            out_a[:, rows[done]], out_score[rows[done]] = a[:, done], score[done]
+            rows, f, g, v, w, a, score, h, x, tol = (
+                arr[..., ~done] for arr in (rows, f, g, v, w, a, score, h, x, tol))
+            if not len(rows):
+                break
+    out_f[:, rows], out_g[:, rows], out_a[:, rows], out_score[rows] = f, g, a, score
+    return out_f, out_g, out_a, out_score
 
 
 def brute_force_batch(
@@ -223,12 +240,14 @@ def brute_force_batch(
     the weights come from an exact 3x3 solve, checked for sign and for
     moments within ``MOMENT_RTOL``.  ``residual`` is the distance of the
     witness's moments m from x; its payoff is at most V(m), so it exceeds
-    the value V(x) by at most the gradient of V times m - x.  The first
-    point in input order that lies outside the cone raises
+    the value V(x) by at most the gradient of V times m - x.  Every
+    searched witness's moments are checked against x (``_meets``).  The
+    first point in input order that lies outside the cone raises
     ``InfeasibleError``, the first interior point no restart reaches a
-    feasible pair for raises ``NoFeasiblePairError``, and one whose witness
-    overflows or underflows float64 when scaled back to it (at p in the
-    hundreds, or max(x) far below 1) raises ``NonFiniteError``.
+    feasible pair for raises ``NoFeasiblePairError``, one whose witness
+    overflows float64 when scaled back to it raises ``NonFiniteError``, and
+    a witness whose moments miss x by more than rounding raises
+    ``WitnessError``.
     """
     p = check_exponent(p)
     budget = budget if budget is not None else SearchBudget()
@@ -245,9 +264,26 @@ def brute_force_batch(
             u1, u2, _ = (float(u) for u in target ** (1.0 / p))
             atoms[i] = ((1.0, u1, -u2 if face is BoundaryFace.FACE3 else u2),)
         witness = StepPair(atoms[i])
-        residual = math.hypot(*(moment(witness, p).as_array() - target))
-        results.append(BruteForceResult(payoff(witness, p), witness, residual))
+        m = moment(witness, p).as_array()
+        # a face's one-atom pair meets x only up to the face classification
+        if face is BoundaryFace.INTERIOR and not _meets(m, target, p):
+            raise WitnessError(f"the witness found for {target.tolist()} has moments {m.tolist()}"
+                               f" at p={p!r}, off by more than rounding")
+        results.append(BruteForceResult(payoff(witness, p), witness, math.hypot(*(m - target))))
     return results
+
+
+def _meets(m, target, p):
+    """Whether a searched witness's moments m equal x up to rounding.
+
+    Each moment is measured as in the solve, relative to itself or to
+    max(x1, x2).  The solve leaves ``MOMENT_RTOL``.  Scaling back from
+    max(x) = 1 by c^p, c = exp((log max(x) + log W - log top) / p), rounds c
+    and the atom values, each by a unit that the p-th power multiplies by
+    p, and the logs, whose rounding grows with |log max(x)|.
+    """
+    rtol = 2.0 * MOMENT_RTOL * (p + abs(math.log(target.max())))
+    return bool((np.abs(m - target) <= rtol * np.maximum(target, target[:2].max())).all())
 
 
 def brute_force_bellman(
@@ -283,40 +319,44 @@ def _search(targets, p, budget):
     if not targets:
         return []
     starts = _start_values(budget)
+    polls = max(1, 2 * budget.local_steps // POLL_TRIALS)
     chunk = max(1, BATCH_ROWS // budget.restarts)
     found = []
     for lo in range(0, len(targets), chunk):
         part = np.array(targets[lo:lo + chunk])
-        xq, vals = part / part.max(axis=1, keepdims=True), np.tile(starts, (len(part), 1))
+        x = np.repeat((part / part.max(axis=1, keepdims=True)).T, budget.restarts, axis=1)
+        vals = np.tile(starts.T, len(part))
+        f, g = vals[:ATOM_COUNT], vals[ATOM_COUNT:]
         with np.errstate(all="ignore"):  # overflow and singular solves score as infeasible
-            vals, a, score = _pattern_search(vals, xq, p, budget.local_steps)
-        shape = (len(part), budget.restarts)
-        for q in zip(part, vals.reshape(shape + (-1,)), a.reshape(shape + (-1,)), score.reshape(shape)):
-            found.append(_witness_atoms(*q, p, budget))
+            f, g, a, score = _pattern_search(f, g, x, p, polls)
+        for q, target in enumerate(part):
+            cols = slice(q * budget.restarts, (q + 1) * budget.restarts)
+            found.append(_witness_atoms(target, f[:, cols], g[:, cols], a[:, cols], score[cols], p, budget))
     return found
 
 
-def _witness_atoms(target, vals, a, score, p, budget):
-    """Unit-mass atoms of the best of one query's restarts, scaled back to ``target``."""
-    scale = target.max()
+def _witness_atoms(target, f, g, a, score, p, budget):
+    """Unit-mass atoms of the best of one query's restarts (columns), scaled back to ``target``."""
     best = int(np.argmax(score))
     if not score[best] >= 0.0:
         raise NoFeasiblePairError(f"no restart reached a step pair with moments {target.tolist()}"
                                   f" in {budget.local_steps} steps; raise the restarts or steps")
-    f, g = vals[best, :ATOM_COUNT], vals[best, ATOM_COUNT:]
+    f, g, a = f[:, best], g[:, best], a[:, best]
     # scale each atom to largest moment 1 (its weight takes the factor), then
-    # the pair to unit mass and x: no witness moment then exceeds 3 max(x)
-    top = _atom_terms(f, g, p)[0].max(axis=1)
-    w = a[best] * top
+    # the pair to unit mass and x: no witness moment then exceeds 3 max(x).
+    # Each atom's scale c = (max(x) W / top)^(1/p) is taken in logs: an atom
+    # far out on its scale direction makes that ratio under- or overflow
+    # where c itself does not
+    top = _atom_terms(f, g, p)[0].max(axis=0)
+    w = a * top
     with np.errstate(all="ignore"):
-        q = scale * w.sum() / top
-    # each atom's scale c = q**(1/p) needs q normal: a subnormal q has lost
-    # the digits that put the witness's moments on x
-    if not ((sys.float_info.min <= q) & (q <= sys.float_info.max)).all():
+        c = np.exp((math.log(target.max()) + math.log(w.sum()) - np.log(top)) / p)
+        f, g = f * c, g * c
+        finite = np.isfinite(_atom_terms(f, g, p)[0]).all()
+    if not finite:
         raise NonFiniteError(f"scaling the witness for {target.tolist()} back from max(x) = 1"
-                             f" overflows or underflows float64 at p={p!r}")
-    c = q ** (1.0 / p)
-    return tuple(zip((w / w.sum()).tolist(), (f * c).tolist(), (g * c).tolist()))
+                             f" overflows float64 at p={p!r}")
+    return tuple(zip((w / w.sum()).tolist(), f.tolist(), g.tolist()))
 
 
 def format_witness(x: LambdaPoint, p: float, result: BruteForceResult) -> str:

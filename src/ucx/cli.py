@@ -104,6 +104,8 @@ def cmd_envelope(args) -> int:
     cert = certificates.certificate(p, args.eps)
     if args.grid_n < 2:
         raise UsageError(f"grid-n must be at least 2, got {args.grid_n}")
+    if args.sandwich_tol < 0.0:
+        raise UsageError(f"sandwich-tol must be nonnegative, got {args.sandwich_tol!r}")
     try:
         top = 2.0**p
     except OverflowError:  # past p = 1024 every row but the first overflows
@@ -153,6 +155,11 @@ def cmd_bruteforce(args) -> int:
     return 0
 
 
+#: the search budget per restart, in the units of ``bellman.SearchBudget``
+_LOCAL_STEPS_HELP = ("search budget per restart: this // 12 polls (at least one) of 24 weight solves,"
+                     " 2 x this many in all; a restart stops early once its steps reach the floor")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         """Report a malformed command line in one line, as every other usage error."""
@@ -191,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--radius", type=float, default=None,
                    help="no effect: the envelope samples one compact section of the cone")
     e.add_argument("--restarts", type=int, default=24)
-    e.add_argument("--local-steps", type=int, default=600, dest="local_steps")
+    e.add_argument("--local-steps", type=int, default=600, dest="local_steps", help=_LOCAL_STEPS_HELP)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--sandwich-tol", type=float, default=2.5e-2, dest="sandwich_tol")
     e.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -203,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--x", type=str, required=True, help="x1,x2,x3")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--restarts", type=int, default=200)
-    b.add_argument("--local-steps", type=int, default=2000, dest="local_steps")
+    b.add_argument("--local-steps", type=int, default=2000, dest="local_steps", help=_LOCAL_STEPS_HELP)
     b.add_argument("--output", default="-")
     b.set_defaults(fn=cmd_bruteforce)
     return parser

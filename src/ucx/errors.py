@@ -35,3 +35,7 @@ class WrongRegimeError(UcxError):
 
 class NoFeasiblePairError(UcxError):
     """No restart of the step-pair search reached a pair with the query's moments."""
+
+
+class WitnessError(UcxError):
+    """A search witness's moments miss its query point by more than rounding."""

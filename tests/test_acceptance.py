@@ -149,8 +149,8 @@ def test_criterion_5_sandwich_reconstruction():
             x = LambdaPoint(1.0, 1.0, eps**p)
             res = brute_force_bellman(x, p, budget)
             cv = cert.value(x)
-            assert res.value >= cv - 1e-6, f"p={p}: bf={res.value} cert={cv}"
-            assert res.value <= cv + 1e-6
+            assert res.value >= cv - 1e-8, f"p={p}: bf={res.value} cert={cv}"
+            assert res.value <= cv + 1e-8
     report(5, "sandwich reconstruction of the slice values", sw)
 
 

@@ -18,7 +18,7 @@ from ucx.bellman import (
 from ucx.certificates import certificate
 from ucx.cli import main as cli_main
 from ucx.domain import BoundaryFace, LambdaPoint, contains
-from ucx.errors import DomainError, InfeasibleError, NoFeasiblePairError, NonFiniteError
+from ucx.errors import DomainError, InfeasibleError, NoFeasiblePairError, NonFiniteError, WitnessError
 
 
 def pair(*atoms):
@@ -183,7 +183,7 @@ class TestBruteForce:
         budget = SearchBudget(restarts=64, local_steps=1200, seed=3)
         res = brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 4.0, budget)
         assert res.residual <= 2.0 * MOMENT_RTOL * np.sqrt(3.0)
-        assert 15.0 / 16.0 - 1e-6 <= res.value <= 15.0 / 16.0 + 1e-12
+        assert 15.0 / 16.0 - 1e-10 <= res.value <= 15.0 / 16.0 + 1e-12
 
     @pytest.mark.parametrize("p", [1.1, 1.25, 1.5, 3.0, 4.0])
     def test_never_above_certificate(self, p):
@@ -215,10 +215,17 @@ class TestBruteForce:
             assert len(res.witness.atoms) == 1
             assert res.value == pytest.approx(boundary_value(x, p), rel=1e-14)
             assert res.residual <= 1e-15 * np.linalg.norm(x.as_array())
+        # within the face tolerance of face 3: the one-atom pair is returned
+        # as it is, its moments off x by that tolerance, not by rounding
+        x = LambdaPoint(1.0, 1.0, 2.0**p * (1.0 - 1e-11))
+        res = brute_force_bellman(x, p)
+        assert len(res.witness.atoms) == 1 and res.value == 0.0
+        assert 0.0 < res.residual <= 1e-10 * x.x3
 
     def test_tiny_budget_without_feasible_pair_raises(self):
+        # one restart and one poll: seed 2's restart reaches no pair at (1, 1, 1)
         with pytest.raises(NoFeasiblePairError):
-            brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 3.0, SearchBudget(1, 1, seed=1))
+            brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 3.0, SearchBudget(1, 1, seed=2))
 
     def test_extreme_query_scales(self):
         # the search runs at x / max(x): the cross products of moments of
@@ -232,16 +239,37 @@ class TestBruteForce:
             assert res.residual <= 1e-12 * s
 
     @pytest.mark.parametrize("p", [50.0, 400.0])
-    def test_witness_scale_underflow(self, p):
-        # at x = 1e-300 an atom's scale c**p = max(x) W / top falls below the
-        # normal floats: rounded to a subnormal or 0, it left a residual of
-        # 9.3e-4 of x at p = 50 and 1.41 x at p = 400
+    def test_witness_scale_in_logs(self, p):
+        # at x = 1e-300 the ratio c**p = max(x) W / top is below the normal
+        # floats, but the atom scale c, taken in logs, is not
         budget = SearchBudget(24, 600, seed=0)
-        for s in [1.0, 1e-100, 1e-200]:
+        for s in [1.0, 1e-100, 1e-200, 1e-300]:
             res = brute_force_bellman(LambdaPoint(s, s, s), p, budget)
             assert res.residual <= 1e-12 * s
-        with pytest.raises(NonFiniteError, match="underflows"):
-            brute_force_bellman(LambdaPoint(1e-300, 1e-300, 1e-300), p, budget)
+            # the value at (1, 1, 1) is 1 - 2^-p for p >= 2
+            assert abs(res.value - s * (1.0 - 2.0**-p)) <= 1e-11 * s
+
+    def test_witness_scale_overflow(self):
+        # every witness atom has a moment of at least max(x), which overflows
+        # float64 here once its moments exceed x anywhere
+        x = LambdaPoint(1.7e308, 1.7e308, 1.7e308)
+        with pytest.raises(NonFiniteError, match="overflows"):
+            brute_force_bellman(x, 2.0, SearchBudget(8, 200, seed=0))
+
+    def test_witness_moments_are_checked(self, monkeypatch):
+        # a witness whose moments miss x by more than rounding is an error,
+        # not a lower bound: move 1e-9 of weight between two atoms
+        atoms_of = bellman._witness_atoms
+
+        def perturbed(*args):
+            (a0, f0, g0), (a1, f1, g1), *rest = atoms_of(*args)
+            return ((a0 - 1e-9, f0, g0), (a1 + 1e-9, f1, g1), *rest)
+
+        x, budget = LambdaPoint(1.0, 1.0, 1.0), SearchBudget(8, 200, seed=0)
+        assert brute_force_bellman(x, 3.0, budget).residual <= 1e-14
+        monkeypatch.setattr(bellman, "_witness_atoms", perturbed)
+        with pytest.raises(WitnessError, match="off by more than rounding"):
+            brute_force_bellman(x, 3.0, budget)
 
     def test_witness_consistent_with_reported_value(self):
         budget = SearchBudget(restarts=16, local_steps=400, seed=8)
@@ -300,12 +328,13 @@ def same_result(a, b):
 
 
 def spy_batches(monkeypatch):
-    """Record the (rows, queries) of every weight solve of the pattern search."""
+    """Record the (trials per row, rows) of every weight solve of the pattern search."""
     sizes, solve = [], bellman._solve_weights
 
     def spy(*args):
-        sizes.append((len(args[6]), len(args[7])))
-        return solve(*args)
+        weights, score = solve(*args)
+        sizes.append((score.size // score.shape[-1], score.shape[-1]))
+        return weights, score
 
     monkeypatch.setattr(bellman, "_solve_weights", spy)
     return sizes
@@ -350,11 +379,11 @@ class TestBatch:
         points = slice_rows(p, 7)[1:-1]
         sizes = spy_batches(monkeypatch)
         batch = brute_force_batch(points, p, budget)
-        queries = [q for _, q in sizes]
-        # the batch shrinks as queries stop, one stage per stopping cycle
-        assert queries == sorted(queries, reverse=True) and len(set(queries)) >= 3
-        assert queries[0] == 5 and all(rows == 8 * q for rows, q in sizes)
-        assert len(sizes) < budget.local_steps + 1
+        rows = [r for _, r in sizes]
+        # the batch shrinks as rows stop, each on its own, not query by query
+        assert rows == sorted(rows, reverse=True) and len(set(rows)) >= 3
+        assert rows[0] == 5 * 8 and any(r % 8 for r in rows)
+        assert sizes[0][0] == 1 and all(t == bellman.POLL_TRIALS for t, _ in sizes[1:])
         for x, res in zip(points, batch):
             assert same_result(res, brute_force_bellman(x, p, budget))
 
@@ -367,15 +396,15 @@ class TestBatch:
         monkeypatch.setattr(bellman, "BATCH_ROWS", limit)
         sizes = spy_batches(monkeypatch)
         chunked = brute_force_batch(points, p, budget)
-        assert max(rows for rows, _ in sizes) == max(8, limit // 8 * 8)
+        assert max(rows for _, rows in sizes) == max(8, limit // 8 * 8)
         assert all(same_result(a, b) for a, b in zip(whole, chunked))
 
     def test_first_query_without_feasible_pair_in_input_order(self, capsys):
-        # one restart and one step: rows 1-4 of this slice reach a pair, rows 5-7 do not
-        p, budget = 3.0, SearchBudget(restarts=1, local_steps=1, seed=0)
+        # one restart and one poll: rows 1-3 of this slice reach a pair, rows 4-7 do not
+        p, budget = 3.0, SearchBudget(restarts=1, local_steps=1, seed=5)
         points = slice_rows(p, 9)
-        assert all(r.value >= 0.0 for r in brute_force_batch(points[:5], p, budget))
-        for order, named in [(points, 5.0), ([points[7], points[1], points[5]], 7.0)]:
+        assert all(r.value >= 0.0 for r in brute_force_batch(points[:4], p, budget))
+        for order, named in [(points, 4.0), ([points[7], points[1], points[5]], 7.0)]:
             with pytest.raises(NoFeasiblePairError, match=rf"\[1\.0, 1\.0, {named}\]"):
                 brute_force_batch(order, p, budget)
         outside = LambdaPoint(1.0, 1.0, 100.0)
@@ -383,10 +412,36 @@ class TestBatch:
             brute_force_batch([points[5], outside], p, budget)
         with pytest.raises(InfeasibleError):
             brute_force_batch([points[1], outside, points[5]], p, budget)
-        argv = ["envelope", "--p", "3", "--grid-n", "9", "--restarts", "1", "--local-steps", "1"]
+        argv = ["envelope", "--p", "3", "--grid-n", "9", "--restarts", "1", "--local-steps", "1",
+                "--seed", "5"]
         assert cli_main(argv) == 2
         out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1 and "[1.0, 1.0, 5.0]" in err
+        assert out == "" and len(err.splitlines()) == 1 and "[1.0, 1.0, 4.0]" in err
+
+    def test_slice_reaches_the_two_atom_optimum(self):
+        # the slice of the p = 4 envelope benchmark: the value is 1 - x3/2^p,
+        # carried by a near-equal atom and an antipodal one; moves of one
+        # value at a time stalled 2.4e-7 below it
+        p, budget = 4.0, SearchBudget(restarts=32, local_steps=600, seed=0)
+        points = slice_rows(p, 25)
+        for x, res in zip(points, brute_force_batch(points, p, budget)):
+            assert abs(res.value - (1.0 - x.x3 / 16.0)) <= 1e-12
+
+    def test_work_stays_within_the_budget(self, monkeypatch):
+        # the same slice, counted: one solve per row for its start, then at most
+        # local_steps // 12 polls of 24 trials, 2 local_steps per row
+        p, budget = 4.0, SearchBudget(restarts=32, local_steps=600, seed=0)
+        points = slice_rows(p, 25)[1:-1]
+        sizes = spy_batches(monkeypatch)
+        brute_force_batch(points, p, budget)
+        starts = [i for i, (trials, _) in enumerate(sizes) if trials == 1]
+        assert sum(sizes[i][1] for i in starts) == len(points) * budget.restarts
+        polls = [sizes[a + 1:b] for a, b in zip(starts, starts[1:] + [len(sizes)])]
+        assert all(len(chunk) <= budget.local_steps // 12 for chunk in polls)
+        trials = sum(t * rows for chunk in polls for t, rows in chunk)
+        assert trials <= 2 * budget.local_steps * len(points) * budget.restarts
+        # rows retire on their own before the last poll
+        assert any(chunk[-1][1] < chunk[0][1] for chunk in polls)
 
 
 class TestWitnessSuite:

@@ -247,6 +247,17 @@ class TestEnvelope:
         got = [float(r["envelope"]) for r in parse_csv(out)]
         assert got == pytest.approx(column, abs=1e-12)
 
+    def test_p580_sandwich(self):
+        # the witness at x3 = 2^579 scales back from max(x) = 1 with c taken
+        # in logs; the search value stays at or below the value 1/2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["envelope", "--p", "580", "--grid-n", "3"])
+        assert code == 0 and err == ""
+        rows = parse_csv(out)
+        assert [float(r["envelope"]) for r in rows] == [1.0, 0.5, 0.0]
+        assert 0.5 - 5e-3 <= float(rows[1]["brute_force"]) <= 0.5
+
     def test_missing_eps_exit_2(self):
         code, _, err = run_cli(["envelope", "--p", "1.5"])
         assert code == 2 and "epsilon required" in err
@@ -295,8 +306,9 @@ class TestBruteforce:
         assert code == 2
 
     def test_tiny_budget_without_feasible_pair_exit_2(self):
+        # one restart and one poll: seed 2's restart reaches no pair at (1, 1, 1)
         code, out, err = run_cli(["bruteforce", "--p", "3", "--x", "1,1,1",
-                                  "--restarts", "1", "--local-steps", "1", "--seed", "1"])
+                                  "--restarts", "1", "--local-steps", "1", "--seed", "2"])
         assert code == 2 and out == ""
         assert err.startswith("ucx: ") and err.count("\n") == 1
 
@@ -319,6 +331,21 @@ class TestBruteforce:
         value = float(re.search(r"value=([-+0-9.e]+)", head).group(1))
         residual = float(re.search(r"residual=([-+0-9.e]+)", head).group(1))
         assert 1.0 - 1e-9 <= value <= 1.0 and residual <= 1e-12
+
+    @pytest.mark.parametrize("p", ["50", "400"])
+    def test_tiny_query_certifies(self, p):
+        # at x = 1e-300 the atom scale c is taken in logs: max(x) W / top
+        # alone is below the normal floats
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["bruteforce", "--p", p, "--x", "1e-300,1e-300,1e-300",
+                                      "--restarts", "24", "--local-steps", "600"])
+        assert code == 0 and err == ""
+        head = out.splitlines()[0]
+        value = float(re.search(r"value=([-+0-9.e]+)", head).group(1))
+        residual = float(re.search(r"residual=([-+0-9.e]+)", head).group(1))
+        assert residual <= 1e-12 * 1e-300
+        assert abs(value - 1e-300 * (1.0 - 2.0**-float(p))) <= 1e-11 * 1e-300
 
     def test_outside_point_exit_2(self):
         # a point outside the cone is a bad input, not a failed mathematical check
@@ -357,11 +384,12 @@ class TestBadInputsExit2:
         assert err.startswith("ucx: ") and err.count("\n") == 1
 
     def test_witness_scale_overflow(self):
-        # the search runs at max(x) = 1; scaling its witness back to x3 = 2^579
-        # overflows float64
+        # the search runs at max(x) = 1; scaled back to x, every witness atom
+        # has a moment above max(x), and that overflows float64 here
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(["envelope", "--p", "580", "--grid-n", "3"])
+            code, out, err = run_cli(["bruteforce", "--p", "2", "--x", "1.7e308,1.7e308,1.7e308",
+                                      "--restarts", "8", "--local-steps", "200"])
         assert code == 2 and out == ""
         assert err.startswith("ucx: ") and "overflows" in err and err.count("\n") == 1
 
@@ -373,9 +401,9 @@ class TestBadInputsExit2:
         "bruteforce --p 0.5 --x 1,1,1", "bruteforce --p 2 --x -1,1,1", "bruteforce --p 2 --x=-1,1,1",
         "bruteforce --p 2 --x nan,1,1", "bruteforce --p 2 --x 1,1,1 --seed -1",
         "bruteforce --p 3 --x 1,1,1 --theta 0.3",
-        # the witness's scale back to x = 1e-300 falls below the normal floats
-        "bruteforce --p 50 --x 1e-300,1e-300,1e-300 --restarts 24 --local-steps 600",
-        "bruteforce --p 400 --x 1e-300,1e-300,1e-300 --restarts 24 --local-steps 600",
+        # a negative tolerance made every exact meeting of search and envelope a violation
+        "envelope --p=5.824077088250119 --grid-n=2 --n-per-face=2 --restarts=2 --local-steps=2"
+        " --sandwich-tol=-2.6e16",
     ])
     def test_one_line_diagnostic(self, argv):
         code, out, err = run_cli(argv.split())
