@@ -5,9 +5,12 @@ from one tangency on the boundary slice, and ``delta`` solves for its one
 unknown, u = 1 - delta, through L = log(1 - delta), over the closed bracket
 [log1p(-eps^2/4), 0] that delta_p <= delta_2 gives, in a form free of
 cancellation; delta = -expm1(L) then keeps full relative accuracy as
-eps -> 0.  Independently, ``delta_implicit`` bisects the implicit two-term
+eps -> 0.  Independently, ``delta_implicit`` solves the implicit two-term
 power equation in delta itself.  The two equations are one under
-u = 1 - delta, which is the main cross-check exploited by the tests.
+u = 1 - delta, which is the main cross-check exploited by the tests.  Both
+roots come from ``numerics.bisect_root`` (Anderson-Bjorck false position,
+never more than twice the evaluations of plain bisection), run until float64
+has no midpoint left in the bracket.
 """
 
 from __future__ import annotations
@@ -18,10 +21,6 @@ import sys
 from .domain import check_eps, check_exponent
 from .errors import WrongRegimeError
 from .numerics import Bracket, bisect_root
-
-#: bracket width at which ``delta_implicit`` stops bisecting
-IMPLICIT_TOL = 1e-13
-
 
 def _log_mean_power(L: float, a: float, p: float) -> float:
     """log(((u + a)**p + |u - a|**p) / 2) at u = e**L, for a > 0, free of cancellation.
@@ -54,7 +53,8 @@ def _log_u(p: float, eps: float) -> float:
     2 eps^(-p) = s* + g(s*) under s* = (u/eps + 1/2)**p, reads
     ((u + a)**p + |u - a|**p)/2 = 1, whose left side increases in u.
     Hilbert space is the most uniformly convex, so delta_p <= delta_2 =
-    1 - sqrt(1 - a**2) and L lies in the closed bracket [log1p(-a**2), 0].  Bisection runs until float64 has no midpoint left.
+    1 - sqrt(1 - a**2) and L lies in the closed bracket [log1p(-a**2), 0].
+    The root solve runs until float64 has no midpoint left in the bracket.
     eps = 2 gives L = -oo (delta = 1).  Where a**2 is below the smallest
     normal float, so is delta, and L = 0 is returned.
     """
@@ -67,12 +67,22 @@ def _log_u(p: float, eps: float) -> float:
     return bisect_root(lambda L: _log_mean_power(L, a, p), bracket)
 
 
+def _implicit_residual(d: float, p: float, eps: float) -> float:
+    """(1-d+e/2)**p + |1-d-e/2|**p - 2, strictly decreasing in d on [0, 1]."""
+    return (1.0 - d + eps / 2.0) ** p + abs(1.0 - d - eps / 2.0) ** p - 2.0
+
+
 def delta_implicit(p: float, eps: float) -> float:
     """The unique delta in [0, 1] with (1-d+e/2)**p + |1-d-e/2|**p = 2.
 
-    The left side is strictly decreasing in delta, so bisection applies,
-    down to a bracket of width ``IMPLICIT_TOL``.  Valid for 1 < p <= 2; the
-    endpoints delta(0) = 0 and delta(2) = 1 are returned exactly.
+    The left side is strictly decreasing in delta, so the residual changes
+    sign once on [0, 1]; ``bisect_root`` (Anderson-Bjorck false position, at
+    most twice the evaluations of plain bisection) runs until float64 has no
+    midpoint left in the bracket.  Valid for 1 < p <= 2; the endpoints
+    delta(0) = 0 and delta(2) = 1 are returned exactly.  At d = 0 the residual
+    is about p (p-1) eps**2 / 4, and for eps below about 1e-7 float64 can
+    round it to 0 or below; the true residual is then below about 1.3e-15 and
+    its slope about -2 p, so the root is below 1e-15 and 0.0 is returned.
     """
     p = check_exponent(p)
     eps = check_eps(eps)
@@ -82,11 +92,9 @@ def delta_implicit(p: float, eps: float) -> float:
         return 0.0
     if eps == 2.0:
         return 1.0
-
-    def resid(d: float) -> float:
-        return (1.0 - d + eps / 2.0) ** p + abs(1.0 - d - eps / 2.0) ** p - 2.0
-
-    return bisect_root(resid, Bracket(0.0, 1.0, IMPLICIT_TOL))
+    if _implicit_residual(0.0, p, eps) <= 0.0:
+        return 0.0
+    return bisect_root(lambda d: _implicit_residual(d, p, eps), Bracket(0.0, 1.0, math.ulp(0.0)))
 
 
 def delta(p: float, eps: float) -> float:

@@ -1,11 +1,16 @@
 """Self-contained numerical kernels.
 
-Bracketing bisection, a pure function of its inputs and deterministic.
+One bracketing root solve, ``bisect_root``: Anderson-Bjorck false position
+with a bisection step whenever the bracket falls behind half the pace of
+plain bisection, so it never takes more than twice the evaluations plain
+bisection takes and on smooth roots converges superlinearly.  A pure function
+of its inputs and deterministic.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,12 +45,20 @@ def _eval_checked(fn: Func, t: float) -> float:
 
 
 def bisect_root(fn: Func, bracket: Bracket) -> float:
-    """Find a root of ``fn`` inside ``bracket`` by plain bisection.
+    """Find a root of ``fn`` inside ``bracket`` by Anderson-Bjorck false position.
 
-    Requires fn(lo) * fn(hi) <= 0.  The bracket is halved every step until
-    its width drops below ``bracket.tol`` (or floating point runs out of
-    midpoints), so the result is deterministic and insensitive to further
-    tolerance tightening beyond the requested one.
+    Requires fn(lo) * fn(hi) <= 0; a root at an endpoint is returned exactly.
+    Each step evaluates ``fn`` at the false-position point of the current
+    sign-change bracket and keeps the sub-bracket that still changes sign.
+    When the same end moves twice in a row, the value kept at the other end
+    is scaled by 1 - f(new)/f(old) (by 1/2 if that is not positive), so that
+    end moves too and convergence on a simple root is superlinear.  A step
+    bisects instead whenever the bracket is wider than plain bisection at
+    half its pace would have left it, 2**(-k/2) of its first width after k
+    steps.  So where plain bisection to the same bracket width takes n
+    evaluations this takes at most 2 n, and on smooth roots far fewer.  Steps
+    stop once the bracket is narrower than ``bracket.tol`` or has no float64
+    midpoint left, and its midpoint is returned; the result is deterministic.
     """
     lo, hi = bracket.lo, bracket.hi
     flo = _eval_checked(fn, lo)
@@ -59,15 +72,36 @@ def bisect_root(fn: Func, bracket: Bracket) -> float:
             f"fn({lo!r})={flo!r} and fn({hi!r})={fhi!r} have the same sign"
         )
     lo_neg = flo < 0.0
+    moved_lo = None  # which end the last step moved; None before the first
+    # the width plain bisection at half its pace would have left; finite, so
+    # that a bracket wider than the largest float bisects first
+    pace = min(hi - lo, sys.float_info.max)
     while hi - lo > bracket.tol:
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):  # interval no longer splittable in float64
             break
-        fm = _eval_checked(fn, mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == lo_neg:
-            lo = mid
+        if hi - lo > pace:
+            t = mid
         else:
-            hi = mid
+            t = lo + (hi - lo) * (flo / (flo - fhi))
+            if t <= lo:  # rounded onto an end: step in by one float
+                t = math.nextafter(lo, hi)
+            elif t >= hi:
+                t = math.nextafter(hi, lo)
+        pace *= 0.5**0.5
+        ft = _eval_checked(fn, t)
+        if ft == 0.0:
+            return t
+        to_lo = (ft < 0.0) == lo_neg
+        if to_lo:
+            if moved_lo is True:
+                m = 1.0 - ft / flo
+                fhi *= m if m > 0.0 else 0.5
+            lo, flo = t, ft
+        else:
+            if moved_lo is False:
+                m = 1.0 - ft / fhi
+                flo *= m if m > 0.0 else 0.5
+            hi, fhi = t, ft
+        moved_lo = to_lo
     return 0.5 * (lo + hi)

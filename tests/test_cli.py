@@ -56,6 +56,14 @@ class TestTable:
         assert row["route"] == "s_star" and float(row["delta"]) > 0.0
         assert float(row["cross_check_residual"]) <= 1e-8
 
+    @pytest.mark.parametrize("p, eps", [("2", "3e-9"), ("1.0425836237757702", "1.537179516623108e-08")])
+    def test_implicit_root_below_rounding(self, p, eps):
+        # the implicit residual at delta = 0 rounds to <= 0, and the cross-check returns 0
+        code, out, err = run_cli(["table", "--p", p, "--eps", eps])
+        assert code == 0 and err == ""
+        row = parse_csv(out)[0]
+        assert float(row["cross_check_residual"]) == float(row["delta"]) > 0.0
+
     def test_p4_closed_form(self):
         code, out, _ = run_cli(["table", "--p", "4", "--eps", "1"])
         row = parse_csv(out)[0]

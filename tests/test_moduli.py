@@ -16,6 +16,7 @@ from anchors import (
     S_STAR_P15_E1,
 )
 from helpers import delta_mpmath
+from ucx import moduli
 from ucx.certificates import certificate
 from ucx.errors import DomainError
 from ucx.moduli import delta, delta_implicit
@@ -109,6 +110,40 @@ class TestDeltaRoutes:
         assert delta(1.5, 1.0) == pytest.approx(DELTA_P15_E1, abs=1e-11)
 
 
+class TestImplicitTinyEps:
+    # the residual at d = 0, about p (p-1) eps^2 / 4, rounds to <= 0 in float64 here
+    POINTS = [(2.0, 3e-9), (1.0425836237757702, 1.537179516623108e-08)]
+
+    @pytest.mark.parametrize("p, eps", POINTS)
+    def test_root_below_rounding_is_zero(self, p, eps):
+        assert moduli._implicit_residual(0.0, p, eps) <= 0.0
+        assert delta_implicit(p, eps) == 0.0
+        assert 0.0 < delta(p, eps) < 1e-15
+
+
+class TestEvaluationCount:
+    """Counted, not timed: the mean residual evaluations per call over the
+    accuracy contract's points, the solve and every check before it included."""
+
+    @pytest.mark.parametrize("route, residual", [
+        ("delta", "_log_mean_power"),
+        ("delta_implicit", "_implicit_residual"),
+    ])
+    def test_mean_evaluations_per_call(self, monkeypatch, route, residual):
+        calls = [0]
+        inner = getattr(moduli, residual)
+
+        def counted(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(moduli, residual, counted)
+        points = contract_points()
+        for p, eps in points:
+            getattr(moduli, route)(p, eps)
+        assert calls[0] / len(points) <= 12.0, calls[0] / len(points)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("p", [1.1, 1.3, 1.5, 1.7, 1.9])
     def test_route_agreement(self, p):
@@ -153,6 +188,22 @@ def _relative_error(value, ref):
         return float(abs(mpmath.mpf(value) - ref) / ref)
 
 
+def contract_points():
+    """The seeded (p, eps) sample of the accuracy contract, all with 1.01 <= p < 2."""
+    rng = random.Random(20140219)
+    points = []
+    for _ in range(160):
+        p = rng.uniform(1.01, 2.0)
+        points.append((p, math.exp(rng.uniform(math.log(1e-8), math.log(2.0)))))
+    for p in (1.01, 1.5, 1.99):
+        points.append((p, 2.0 - 4e-16))
+    for _ in range(20):
+        # 1 - delta = eps/2 at eps = 2^(1/p), where the two powers trade places
+        p = rng.uniform(1.01, 2.0)
+        points += [(p, 2.0 ** (1.0 / p) * (1.0 + k)) for k in (0.0, 1e-12, -1e-9)]
+    return points
+
+
 class TestAccuracyContract:
     """delta for 1.01 <= p < 2 is within 1e-12 relative of a 50-digit mpmath
     root, and for 1 < p < 1.01 within 2e-15 / (p - 1)."""
@@ -162,17 +213,7 @@ class TestAccuracyContract:
         assert abs(delta(p, eps) - expected) <= 1e-12 * expected
 
     def test_seeded_sample_against_mpmath(self):
-        rng = random.Random(20140219)
-        points = []
-        for _ in range(160):
-            p = rng.uniform(1.01, 2.0)
-            points.append((p, math.exp(rng.uniform(math.log(1e-8), math.log(2.0)))))
-        for p in (1.01, 1.5, 1.99):
-            points.append((p, 2.0 - 4e-16))
-        for _ in range(20):
-            # 1 - delta = eps/2 at eps = 2^(1/p), where the two powers trade places
-            p = rng.uniform(1.01, 2.0)
-            points += [(p, 2.0 ** (1.0 / p) * (1.0 + k)) for k in (0.0, 1e-12, -1e-9)]
+        points = contract_points()
         worst = max((_relative_error(delta(p, eps), delta_mpmath(p, eps)), p, eps) for p, eps in points)
         assert worst[0] <= 1e-12, worst
 

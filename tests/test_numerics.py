@@ -50,6 +50,63 @@ class TestBisect:
         assert got == pytest.approx(r, abs=1e-11)
 
 
+def plain_bisection_count(fn, bracket):
+    """Evaluations plain bisection makes on ``bracket``: the reference for the count bound."""
+    count = 2
+    lo, hi = bracket.lo, bracket.hi
+    lo_neg = fn(lo) < 0.0
+    while hi - lo > bracket.tol:
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            break
+        count += 1
+        fm = fn(mid)
+        if fm == 0.0:
+            break
+        if (fm < 0.0) == lo_neg:
+            lo = mid
+        else:
+            hi = mid
+    return count
+
+
+HARD_ROOTS = {
+    "step": lambda t: -1.0 if t < 1.0 / 3.0 else 1.0,
+    "pow21": lambda t: (t - 0.3) ** 21,
+    "atan": lambda t: math.atan(1e12 * (t - 0.7)),
+    "exp50": lambda t: math.exp(50.0 * t) - 2.0,
+}
+
+
+class TestEvaluationCount:
+    """Counted, not timed: false position never costs more than twice plain bisection."""
+
+    @pytest.mark.parametrize("name", sorted(HARD_ROOTS))
+    @pytest.mark.parametrize("tol", [1e-12, math.ulp(0.0)])
+    def test_at_most_twice_plain_bisection(self, name, tol):
+        fn = HARD_ROOTS[name]
+        calls = []
+
+        def counted(t):
+            calls.append((t, fn(t)))
+            return calls[-1][1]
+
+        bracket = Bracket(0.0, 1.0, tol)
+        root = bisect_root(counted, bracket)
+        n = plain_bisection_count(fn, bracket)
+        assert len(calls) <= 2 * n, (len(calls), n)
+        # the root lies in a final bracket of evaluated points that still changes sign
+        if fn(root) != 0.0:
+            a = max(t for t, v in calls if t <= root and v < 0.0)
+            b = min(t for t, v in calls if t >= root and v > 0.0)
+            assert b - a <= tol or not (a < 0.5 * (a + b) < b)
+
+    def test_smooth_root_superlinear(self):
+        calls = []
+        bisect_root(lambda t: calls.append(t) or math.cos(t) - t, Bracket(0.0, 1.0, math.ulp(0.0)))
+        assert len(calls) <= 10  # plain bisection takes 55
+
+
 class TestCentralDiff:
     def test_quadratic(self):
         assert central_diff(lambda t: t * t, 3.0, 1e-5) == pytest.approx(6.0, abs=1e-9)
