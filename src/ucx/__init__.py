@@ -29,10 +29,9 @@ from .certificates import (
 from .domain import BoundaryFace, LambdaPoint, contains
 from .envelope import EnvelopeQuery, ObstacleGrid, concavify, sample_boundary
 from .moduli import delta, delta_implicit
-from .numerics import Bracket, bisect_root
+from .numerics import bisect_root
 
 __all__ = [
-    "Bracket",
     "BoundaryFace",
     "BruteForceResult",
     "Certificate",

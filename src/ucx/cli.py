@@ -92,7 +92,7 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     reports = certificates.verify_appendix(args.p, args.eps, args.grid_n)
-    reports.append(certificates.sharpness_check(args.p, args.eps, args.n_chord))
+    reports.append(certificates.sharpness_check(args.p, args.eps))
     if args.trials > 0 and args.eps is not None:
         reports.append(bellman.witness_test(args.p, args.eps, args.trials, args.seed))
     _write_output(args.output, "".join(r.line() + "\n" for r in reports))
@@ -184,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p", type=float, required=True)
     v.add_argument("--eps", type=float, default=None)
     v.add_argument("--grid-n", type=int, default=10001, dest="grid_n")
-    v.add_argument("--n-chord", type=int, default=1001, dest="n_chord")
     v.add_argument("--trials", type=int, default=0, help="witness trials (0 skips)")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--output", default="-")
@@ -194,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--p", type=float, required=True)
     e.add_argument("--eps", type=float, default=None)
     e.add_argument("--grid-n", type=int, default=50, dest="grid_n")
-    e.add_argument("--n-per-face", type=int, default=24, dest="n_per_face")
+    e.add_argument("--n-per-face", type=int, default=24, dest="n_per_face",
+                   help="samples per face, tau = 1/2 shared, 2n - 1 in all")
     e.add_argument("--radius", type=float, default=None,
                    help="no effect: the envelope samples one compact section of the cone")
     e.add_argument("--restarts", type=int, default=24)

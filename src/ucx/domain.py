@@ -8,7 +8,9 @@ midpoint's |(f+g)/2|^p, down to explicit formulas.  The boundary slice at
 x3 = 1 is the curve (s, g(s), 1), s >= 2**(-p), with boundary payoff f(s).
 It is carried on the compact section of the cone (largest p-th root 1),
 where the whole slice, s -> oo included, is parametrized by its payoff
-root tau in [0, 1] (``section_profile``).
+root tau in [0, 1] (``section_profile``).  Boundary data and value function
+are degree-1 homogeneous and symmetric under x1 <-> x2, so this one curve
+holds all the boundary data there is.
 """
 
 from __future__ import annotations
@@ -104,32 +106,21 @@ def contains(x: LambdaPoint, p: float) -> BoundaryFace:
     return BoundaryFace.INTERIOR
 
 
-def face_value(face: BoundaryFace, u, p: float):
-    """Collinear-pair midpoint payoff on one face, from the p-th roots u = (u1, u2, u3).
-
-    Face 3 carries the pair (u1, -u2) and face 1 the pair (u2 + u3, u2),
-    with payoff roots |u1 - u2|/2 and u2 + u3/2; face 2 is the x1 <-> x2
-    mirror of face 1.  The roots may be floats or equal-shape arrays; the
-    result has the same shape.  No face test is made: the caller supplies
-    the face.
-    """
-    u1, u2, u3 = u
-    if face is BoundaryFace.FACE3:
-        return abs(0.5 * u1 - 0.5 * u2) ** p
-    return (0.5 * u3 + (u2 if face is BoundaryFace.FACE1 else u1)) ** p
-
-
 def section_profile(tau, p: float):
-    """The slice on the compact section of the cone, by its payoff root tau.
+    """The boundary on the compact section of the cone, by its payoff root tau.
 
     The slice points (s, g(s), 1), s >= 2**(-p), scaled to largest p-th root
     1, have roots (tau + 1/2, 1/2 - tau, 1) for tau <= 1/2 (face 3) and
     (1, 2 tau - 1, 2 - 2 tau) beyond (face 1), and payoff tau**p.  tau = 0 is
     the antipodal point (2**-p, 2**-p, 1), tau = 1/2 is s = 1 and tau = 1 is
-    the limit s -> oo, the point (1, 1, 0).  The derivatives f' = df/ds and
-    g' = dg/ds are degree 0, so they take their slice values here:
-    f' = (tau/r1)**(p-1), and g' = (r2/r1)**(p-1) with a minus sign below
-    tau = 1/2.  Returns (x, f, f', g') with x an (N, 3) array.
+    the limit s -> oo, the point (1, 1, 0).  Every boundary point is a
+    nonnegative multiple of one of these or of its x1 <-> x2 mirror, with the
+    same payoff.  The derivatives f' = df/ds and g' = dg/ds are degree 0, so
+    they take their slice values here: f' = (tau/r1)**(p-1), and
+    g' = (r2/r1)**(p-1) with a minus sign below tau = 1/2.  There 1 + g' is
+    -expm1((p-1) log(r2/r1)), free of cancellation as p -> 1; it is +0.0 at
+    tau = 0 and 1 at tau = 1/2, where r2 = 0.  Returns (x, f, f', 1 + g')
+    with x an (N, 3) array.
     """
     tau = np.asarray(tau, dtype=float)
     low = tau <= 0.5
@@ -138,6 +129,7 @@ def section_profile(tau, p: float):
     r3 = np.where(low, 1.0, 2.0 - 2.0 * tau)
     x = np.stack([r1, r2, r3], axis=-1) ** p
     f_prime = (tau / r1) ** (p - 1.0)
-    g_prime = np.where(low, -1.0, 1.0) * (r2 / r1) ** (p - 1.0)
-    return x, tau**p, f_prime, g_prime
-
+    with np.errstate(divide="ignore"):  # log(0) = -inf at r2 = 0 gives 1 + g' = 1
+        low_den = 0.0 - np.expm1((p - 1.0) * np.log(r2 / r1))  # 0.0 - 0.0 is +0.0
+    den = np.where(low, low_den, 1.0 + (r2 / r1) ** (p - 1.0))
+    return x, tau**p, f_prime, den

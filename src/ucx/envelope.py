@@ -4,9 +4,10 @@ The value function is the minimal concave majorant of the boundary payoff
 on the moment cone.  Boundary data and value function are both degree-1
 homogeneous, so at any query point the value is the best conic (nonnegative)
 combination of boundary samples hitting that point, and samples from one
-compact section of the cone suffice.  The payoff is the midpoint's,
-|(f+g)/2|^p, so both are also symmetric under x1 <-> x2: on the plane
-x1 = x2 a sample counts through the average with its mirror, and the best
+compact section of the cone suffice: ``domain.section_profile`` at
+equispaced payoff roots.  The payoff is the midpoint's, |(f+g)/2|^p, so
+both are also symmetric under x1 <-> x2: on the plane x1 = x2 a sample
+counts through the average with its mirror, and the best
 combination reduces to the upper concave hull of one variable, the
 sample's x3 and payoff per unit of x1 + x2.  Restricting it to a finite
 sample set yields a certified under-approximation that sharpens as the
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoundaryFace, LambdaPoint, check_exponent, face_value
+from .domain import LambdaPoint, check_exponent, section_profile
 from .errors import DomainError, InfeasibleError
 
 #: relative slack past the antipodal ray within which a query is still
@@ -55,29 +56,22 @@ class EnvelopeQuery:
 
 
 def sample_boundary(p: float, n_per_face: int) -> ObstacleGrid:
-    """Sample faces 3 and 1 along their p-th-root parametrization: 2 n + 1 points.
+    """Sample the compact section at 2 n - 1 equispaced payoff roots tau in [0, 1].
 
-    With ``t`` on ``n_per_face`` equispaced points of [0, 1], the roots
-    (t, 1-t, 1) and (1, t, 1-t) sweep faces 3 and 1, and the points are
-    their p-th powers.  The face-3 midpoint (2^-p, 2^-p, 1) is appended
-    because an even ``n_per_face`` misses t = 1/2: it is the ray of the
-    antipodal point (1, 1, 2^p), without which slice queries near x3 = 2^p
-    leave the sampled cone.  Face 2 is the x1 <-> x2 mirror of face 1, with
-    the mirrored payoff, and ``concavify`` averages each sample with its
-    mirror, so its samples would repeat those of face 1 bit for bit.
+    The points and payoffs are ``section_profile``'s: ``n_per_face`` samples
+    on each of face 3 (tau <= 1/2) and face 1 (tau >= 1/2), with tau = 1/2
+    shared.  tau = 0 is the antipodal point (2^-p, 2^-p, 1), the ray of
+    (1, 1, 2^p), without which slice queries near x3 = 2^p leave the
+    sampled cone.  The rest of the boundary, face 2 and the other half of
+    face 3, mirrors these samples under x1 <-> x2 with the same payoff, and
+    ``concavify`` averages each sample with its mirror, so its samples would
+    repeat these bit for bit.
     """
     p = check_exponent(p)
     if n_per_face < 2:
         raise DomainError(f"n_per_face must be at least 2, got {n_per_face}")
-    t = np.linspace(0.0, 1.0, n_per_face)
-    t3 = np.append(t, 0.5)
-    faces = (
-        (BoundaryFace.FACE3, (t3, 1.0 - t3, np.ones_like(t3))),
-        (BoundaryFace.FACE1, (np.ones_like(t), t, 1.0 - t)),
-    )
-    points = np.concatenate([np.column_stack(u) ** p for _, u in faces])
-    values = np.concatenate([face_value(face, u, p) for face, u in faces])
-    return ObstacleGrid(points, values)
+    x, f, _, _ = section_profile(np.linspace(0.0, 1.0, 2 * n_per_face - 1), p)
+    return ObstacleGrid(x, f)
 
 
 def _upper_hull(r: np.ndarray, h: np.ndarray) -> list[int]:

@@ -20,7 +20,7 @@ import sys
 
 from .domain import check_eps, check_exponent
 from .errors import WrongRegimeError
-from .numerics import Bracket, bisect_root
+from .numerics import bisect_root
 
 def _log_mean_power(L: float, a: float, p: float) -> float:
     """log(((u + a)**p + |u - a|**p) / 2) at u = e**L, for a > 0, free of cancellation.
@@ -63,8 +63,7 @@ def _log_u(p: float, eps: float) -> float:
     a = 0.5 * eps
     if a * a < sys.float_info.min:
         return 0.0
-    bracket = Bracket(math.log1p(-a * a), 0.0, math.ulp(0.0))
-    return bisect_root(lambda L: _log_mean_power(L, a, p), bracket)
+    return bisect_root(lambda L: _log_mean_power(L, a, p), math.log1p(-a * a), 0.0)
 
 
 def _implicit_residual(d: float, p: float, eps: float) -> float:
@@ -94,7 +93,7 @@ def delta_implicit(p: float, eps: float) -> float:
         return 1.0
     if _implicit_residual(0.0, p, eps) <= 0.0:
         return 0.0
-    return bisect_root(lambda d: _implicit_residual(d, p, eps), Bracket(0.0, 1.0, math.ulp(0.0)))
+    return bisect_root(lambda d: _implicit_residual(d, p, eps), 0.0, 1.0)
 
 
 def delta(p: float, eps: float) -> float:

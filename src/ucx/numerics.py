@@ -3,39 +3,20 @@
 One bracketing root solve, ``bisect_root``: Anderson-Bjorck false position
 with a bisection step whenever the bracket falls behind half the pace of
 plain bisection, so it never takes more than twice the evaluations plain
-bisection takes and on smooth roots converges superlinearly.  A pure function
-of its inputs and deterministic.
+bisection takes and on smooth roots converges superlinearly.  It runs until
+float64 has no midpoint left in the bracket.  A pure function of its inputs
+and deterministic.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, NonFiniteError, NoSignChangeError
 
 Func = Callable[[float], float]
-
-#: default absolute tolerance on the root argument
-ROOT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """A sign-change interval [lo, hi] with an absolute argument tolerance."""
-
-    lo: float
-    hi: float
-    tol: float = ROOT_TOL
-
-    def __post_init__(self) -> None:
-        if not (self.lo < self.hi):
-            raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
-        if not (self.tol > 0.0):
-            raise DomainError(f"bracket tolerance must be positive, got {self.tol}")
-
 
 def _eval_checked(fn: Func, t: float) -> float:
     v = float(fn(t))
@@ -44,12 +25,13 @@ def _eval_checked(fn: Func, t: float) -> float:
     return v
 
 
-def bisect_root(fn: Func, bracket: Bracket) -> float:
-    """Find a root of ``fn`` inside ``bracket`` by Anderson-Bjorck false position.
+def bisect_root(fn: Func, lo: float, hi: float) -> float:
+    """Find a root of ``fn`` in [lo, hi] by Anderson-Bjorck false position.
 
-    Requires fn(lo) * fn(hi) <= 0; a root at an endpoint is returned exactly.
-    Each step evaluates ``fn`` at the false-position point of the current
-    sign-change bracket and keeps the sub-bracket that still changes sign.
+    Requires lo < hi and fn(lo) * fn(hi) <= 0; a root at an endpoint is
+    returned exactly.  Each step evaluates ``fn`` at the false-position point
+    of the current sign-change bracket and keeps the sub-bracket that still
+    changes sign.
     When the same end moves twice in a row, the value kept at the other end
     is scaled by 1 - f(new)/f(old) (by 1/2 if that is not positive), so that
     end moves too and convergence on a simple root is superlinear.  A step
@@ -57,10 +39,11 @@ def bisect_root(fn: Func, bracket: Bracket) -> float:
     half its pace would have left it, 2**(-k/2) of its first width after k
     steps.  So where plain bisection to the same bracket width takes n
     evaluations this takes at most 2 n, and on smooth roots far fewer.  Steps
-    stop once the bracket is narrower than ``bracket.tol`` or has no float64
-    midpoint left, and its midpoint is returned; the result is deterministic.
+    stop once the bracket has no float64 midpoint left, and its midpoint is
+    returned; the result is deterministic.
     """
-    lo, hi = bracket.lo, bracket.hi
+    if not (lo < hi):
+        raise DomainError(f"bracket requires lo < hi, got [{lo}, {hi}]")
     flo = _eval_checked(fn, lo)
     if flo == 0.0:
         return lo
@@ -76,12 +59,9 @@ def bisect_root(fn: Func, bracket: Bracket) -> float:
     # the width plain bisection at half its pace would have left; finite, so
     # that a bracket wider than the largest float bisects first
     pace = min(hi - lo, sys.float_info.max)
-    while hi - lo > bracket.tol:
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):  # interval no longer splittable in float64
-            break
+    while lo < 0.5 * (lo + hi) < hi:  # until no float64 midpoint is left
         if hi - lo > pace:
-            t = mid
+            t = 0.5 * (lo + hi)
         else:
             t = lo + (hi - lo) * (flo / (flo - fhi))
             if t <= lo:  # rounded onto an end: step in by one float

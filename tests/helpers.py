@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 
 from ucx.bellman import WEIGHT_TOL
-from ucx.domain import LambdaPoint, check_exponent, contains, face_value
-from ucx.envelope import ObstacleGrid, sample_boundary
+from ucx.domain import BoundaryFace, LambdaPoint, check_exponent, contains
+from ucx.envelope import ObstacleGrid
 from ucx.errors import DomainError, OutOfRangeError, UcxError
 
 
@@ -26,6 +26,21 @@ def central_diff(fn, s: float, h: float) -> float:
     return (float(fn(s + h)) - float(fn(s - h))) / (2.0 * h)
 
 
+def face_value(face: BoundaryFace, u, p: float):
+    """Collinear-pair midpoint payoff on one face, from the p-th roots u = (u1, u2, u3).
+
+    Face 3 carries the pair (u1, -u2) and face 1 the pair (u2 + u3, u2),
+    with payoff roots |u1 - u2|/2 and u2 + u3/2; face 2 is the x1 <-> x2
+    mirror of face 1.  The roots may be floats or equal-shape arrays; the
+    result has the same shape.  No face test is made: the caller supplies
+    the face.  The reference for ``ucx.domain.section_profile``'s payoff.
+    """
+    u1, u2, u3 = u
+    if face is BoundaryFace.FACE3:
+        return abs(0.5 * u1 - 0.5 * u2) ** p
+    return (0.5 * u3 + (u2 if face is BoundaryFace.FACE1 else u1)) ** p
+
+
 def boundary_value(x: LambdaPoint, p: float) -> float:
     """Collinear-pair midpoint payoff at a boundary point, by the face ``contains`` reports.
 
@@ -39,17 +54,30 @@ def boundary_value(x: LambdaPoint, p: float) -> float:
     return face_value(face, [c ** (1.0 / p) for c in (x.x1, x.x2, x.x3)], p)
 
 
-def three_face_grid(p: float, n_per_face: int) -> ObstacleGrid:
-    """``sample_boundary`` with face 2 sampled too, as faces 3 and 1 are.
+def face_root_grid(p: float, n_per_face: int) -> ObstacleGrid:
+    """All three faces sampled at ``n_per_face`` equispaced p-th roots t each.
 
-    The face-2 roots (t, 1, 1-t) are appended, with their payoff
-    (t + 0.5 (1 - t))^p: the x1 <-> x2 mirrors of the face-1 samples.
+    Face 3 has the roots (t, 1-t, 1) plus its midpoint t = 1/2, face 1
+    (1, t, 1-t) and face 2 (t, 1, 1-t), with the face formulas' payoffs:
+    3 n + 1 points, the boundary sampling ``ucx.envelope.sample_boundary``
+    refines.  Half of face 3 and all of face 2 mirror the rest under
+    x1 <-> x2.
     """
-    grid = sample_boundary(p, n_per_face)
     t = np.linspace(0.0, 1.0, n_per_face)
-    face2 = np.column_stack([t, np.ones_like(t), 1.0 - t]) ** p
-    return ObstacleGrid(np.vstack([grid.points, face2]),
-                        np.concatenate([grid.values, (t + 0.5 * (1.0 - t)) ** p]))
+    t3, one = np.append(t, 0.5), np.ones_like(t)
+    faces = (
+        (BoundaryFace.FACE3, (t3, 1.0 - t3, np.ones_like(t3))),
+        (BoundaryFace.FACE1, (one, t, 1.0 - t)),
+        (BoundaryFace.FACE2, (t, one, 1.0 - t)),
+    )
+    return ObstacleGrid(np.concatenate([np.column_stack(u) ** p for _, u in faces]),
+                        np.concatenate([face_value(face, u, p) for face, u in faces]))
+
+
+def mirrored(grid: ObstacleGrid) -> ObstacleGrid:
+    """``grid`` with the x1 <-> x2 mirror of every sample appended, at the same payoff."""
+    return ObstacleGrid(np.vstack([grid.points, grid.points[:, [1, 0, 2]]]),
+                        np.concatenate([grid.values, grid.values]))
 
 
 def slice_lower_bound(p: float) -> float:

@@ -100,7 +100,7 @@ def test_criterion_3_appendix_verification():
 def test_criterion_4_sharpness():
     with Stopwatch(10.0) as sw:
         # 1 < p < 2: exact chord equality and the midpoint identity
-        rep = sharpness_check(1.5, 1.0, n_chord=1001)
+        rep = sharpness_check(1.5, 1.0)
         assert rep.passed and rep.worst_value < 1e-10
         s_star = certificate(1.5, 1.0).w ** -1.5
         mid = 0.5 * (s_star + boundary_profile(s_star, 1.5).g)
@@ -108,7 +108,7 @@ def test_criterion_4_sharpness():
 
         # p >= 2: exact chord equality from the antipodal point to (1, 1, 0)
         for p in [2.0, 3.0, 8.0]:
-            rep = sharpness_check(p, n_chord=1001)
+            rep = sharpness_check(p)
             assert rep.passed and rep.worst_value <= 1e-10
 
         # both certificates touch their anchor points

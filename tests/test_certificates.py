@@ -9,6 +9,7 @@ import pytest
 
 from anchors import KAPPA_P15_E1, PAYOFF_P15_E1
 from helpers import delta_mpmath, slice_point
+from ucx import certificates
 from ucx.certificates import (
     Certificate,
     certificate,
@@ -216,7 +217,7 @@ class TestVerifyAppendix:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reports = verify_appendix(2000.0, grid_n=11)
-            reports.append(sharpness_check(2000.0, None, 11))
+            reports.append(sharpness_check(2000.0, None))
         assert all(r.passed for r in reports), [r.line() for r in reports]
         assert len(reports) == 6
 
@@ -242,22 +243,25 @@ class TestVerifyAppendix:
 
 class TestSharpness:
     def test_lt2_chord_equality(self):
-        rep = sharpness_check(1.5, 1.0, n_chord=1001)
+        rep = sharpness_check(1.5, 1.0)
         assert rep.passed
         assert rep.worst_value < 1e-10
+        # the gap is affine along the chord, so only its two ends are evaluated
+        assert rep.grid == 2 and rep.worst_arg in (0.0, 1.0)
 
     @pytest.mark.parametrize("p", [1.2, 1.5])
     @pytest.mark.parametrize("eps", [1e-2, 3e-3, 1e-3])
     def test_lt2_chord_equality_small_eps(self, p, eps):
         # s* is near 2 eps^-p here; its equation is checked to 1e-12 relative
-        assert sharpness_check(p, eps, n_chord=101).passed
+        assert sharpness_check(p, eps).passed
 
     def test_ge2_chord_equality(self):
         # the chord (2^-p, 2^-p, 1) -> (1, 1, 0) carries payoffs 0 -> 1, as the certificate does
         for p in [2.5, 3.0, 4.0, 8.0, 30.0]:
-            rep = sharpness_check(p, n_chord=1001)
+            rep = sharpness_check(p)
             assert rep.claim == "chord-equality" and rep.passed
             assert rep.worst_value <= 1e-10
+            assert rep.grid == 2 and rep.worst_arg in (0.0, 1.0)
 
     def test_p2_equality_case(self):
         rep = sharpness_check(2.0, 1.0)
@@ -267,3 +271,40 @@ class TestSharpness:
     def test_lt2_requires_eps(self):
         with pytest.raises(DomainError):
             sharpness_check(1.5)
+
+
+def chord_scan(cert, p, n=1001):
+    """max |chord - cert| over ``n`` equispaced chord points: the dense reference scan."""
+    if p < 2.0:
+        w = cert.w
+        x, f, _, _ = section_profile(1.0 - 0.5 * w if w <= 1.0 else 1.0 / w - 0.5, p)
+        ends, payoffs = np.array([x, x[[1, 0, 2]]]), np.array([f, f])
+    else:
+        ends, payoffs, _, _ = section_profile(np.array([0.0, 1.0]), p)
+    t = np.linspace(0.0, 1.0, n)
+    pts = np.outer(1.0 - t, ends[0]) + np.outer(t, ends[1])
+    return float(np.abs((1.0 - t) * payoffs[0] + t * payoffs[1] - cert.value(pts)).max())
+
+
+class TestChordMutation:
+    """The chord's gap to any linear c . x is affine, so its two ends decide the claim."""
+
+    POINTS = [(1.1, 0.3), (1.1, 1.9), (1.5, 1.0), (1.5, 0.01), (1.9, 1.9), (1.99, 0.5),
+              (2.0, 1.0), (2.5, 1.0), (3.0, None), (4.0, None), (8.0, None)]
+
+    def test_ends_reject_what_the_scan_rejects(self, monkeypatch):
+        rejected = {True: 0, False: 0}
+        for p, eps in self.POINTS:
+            base = certificate(p, eps)
+            for j in range(3):  # c1, c2 or c3
+                for sign in (1.0, -1.0):
+                    c = list(base.c)
+                    c[j] *= 1.0 + sign * 1e-9
+                    cert = Certificate(tuple(c), base.w)
+                    monkeypatch.setattr(certificates, "certificate", lambda *_, cert=cert: cert)
+                    rep = sharpness_check(p, eps)
+                    if chord_scan(cert, p) > 1e-10:
+                        assert not rep.passed, (p, eps, j, sign, rep.line())
+                        rejected[p < 2.0] += 1
+        # the scan rejects some perturbations on both sides of p = 2
+        assert rejected[True] >= 20 and rejected[False] >= 20, rejected

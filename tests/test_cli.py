@@ -103,7 +103,7 @@ class TestTable:
         assert err.startswith("ucx: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--p", "3", "--grid-n", "11", "--n-chord", "3"],
+        ["verify", "--p", "3", "--grid-n", "11"],
         ["envelope", "--p", "3", "--grid-n", "2", "--n-per-face", "4"],
         ["bruteforce", "--p", "3", "--x", "1,1,8"],
     ])
@@ -152,7 +152,7 @@ class TestVerify:
         t0 = time.perf_counter()
         for p, eps in points:
             code, out, err = run_cli(["verify", "--p", repr(p), "--eps", repr(eps),
-                                      "--grid-n", "201", "--n-chord", "101"])
+                                      "--grid-n", "201"])
             failed = [line for line in out.splitlines() if "pass=false" in line]
             assert code == 0, (p, eps, failed, err)
         assert time.perf_counter() - t0 < 1.0
@@ -171,7 +171,7 @@ class TestVerify:
         # 2**-p underflows to 0 and moves no scanned quantity
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(["verify", "--p", p, "--grid-n", "11", "--n-chord", "11"])
+            code, out, err = run_cli(["verify", "--p", p, "--grid-n", "11"])
         lines = out.splitlines()
         assert code == 0 and err == "" and len(lines) == 6
         assert all(" pass=true " in line for line in lines)
@@ -187,6 +187,36 @@ class TestVerify:
     def test_slice_cutoff_flags_removed(self, flag):
         with redirect_stderr(io.StringIO()):
             assert main(["verify", "--p", "3", flag]) == 2
+
+    def test_chord_scan_flag_removed(self):
+        # chord-equality checks the chord's two ends, where its affine gap peaks
+        with redirect_stderr(io.StringIO()):
+            assert main(["verify", "--p", "3", "--n-chord=11"]) == 2
+        _, out, _ = run_cli(["verify", "--p", "3", "--grid-n", "11"])
+        chord = [line for line in out.splitlines() if line.startswith("claim=chord-equality")]
+        assert len(chord) == 1 and chord[0].endswith(" at=0.0 grid=2")
+
+    @pytest.mark.parametrize("k", [41, 44, 52])
+    @pytest.mark.parametrize("eps", ["0.5", "1", "1.9"])
+    def test_p_near_one_certifies(self, k, eps):
+        # 1 + g' = 1 - (r2/r1)**(p-1) rounded to 0 on face 3 here, with numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["verify", "--p", repr(1.0 + 2.0**-k), "--eps", eps])
+        assert code == 0 and err == "", [line for line in out.splitlines() if "pass=false" in line]
+
+    def test_eps_near_two_certifies(self):
+        # k is 3.8e5 here; the 1,001-point chord scan failed on an interior
+        # sample's rounding, 1.05e-10, while both chord ends are at 4.7e-11
+        code, out, err = run_cli(["verify", "--p", "1.005", "--eps", "1.9999999996837723"])
+        assert code == 0 and err == "", out
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "chord-equality fails by float64 rounding of c . x at a chord end, 9.58e-10: "
+        "k is 4.5e6 here; an interval proof with c at higher precision is ROADMAP item 2"))
+    def test_eps_nearer_two_certifies(self):
+        code, out, _ = run_cli(["verify", "--p", "1.01", "--eps", "1.999999999999"])
+        assert code == 0, out
 
     def test_line_format(self):
         _, out, _ = run_cli(["verify", "--p", "2.5", "--grid-n", "501"])
@@ -438,7 +468,8 @@ class TestBadInputsExit2:
 
 def _number():
     special = st.sampled_from(
-        ["nan", "inf", "-inf", "0", "-1", "1", "2", "1.5", "3", "2000", "1e300", "5e-324", "1e-300"]
+        ["nan", "inf", "-inf", "0", "-1", "1", "1.0000000000000002", "2", "1.5", "3", "2000", "1e300",
+         "5e-324", "1e-300"]
     )
     return st.one_of(special, st.floats(allow_nan=True, allow_infinity=True).map(repr))
 
@@ -470,8 +501,7 @@ def _argv(draw):
         argv += draw(_opt("format", st.sampled_from(["csv", "json", "xml"])))
     elif command == "verify":
         argv += draw(_opt("eps", _number()))
-        argv += [f"--grid-n={draw(_ints(-1, 11))}", f"--n-chord={draw(_ints(-1, 11))}",
-                 f"--trials={draw(_ints(-1, 50))}"]
+        argv += [f"--grid-n={draw(_ints(-1, 11))}", f"--trials={draw(_ints(-1, 50))}"]
         argv += draw(_opt("seed", _ints(-2, 2**64)))
     elif command == "envelope":
         argv += draw(_opt("eps", _number()))
@@ -497,6 +527,6 @@ class TestFuzz:
             code, _, err = run_cli(argv)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err, (argv, err)
-        search = [w for w in caught if issubclass(w.category, RuntimeWarning)
-                  and w.filename.endswith(os.path.join("ucx", "bellman.py"))]
-        assert not search, (argv, [str(w.message) for w in search])
+        ours = [w for w in caught if issubclass(w.category, RuntimeWarning)
+                and os.path.join("ucx", "") in w.filename]
+        assert not ours, (argv, [f"{w.filename}: {w.message}" for w in ours])

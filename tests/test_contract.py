@@ -28,7 +28,7 @@ def _calls(p, eps, x, seed):
         "delta_implicit": lambda: delta_implicit(p, eps),
         "certificate": lambda: certificate(p, eps),
         "verify_appendix": lambda: verify_appendix(p, eps, 11),
-        "sharpness_check": lambda: sharpness_check(p, eps, 11),
+        "sharpness_check": lambda: sharpness_check(p, eps),
         "witness_test": lambda: witness_test(p, eps, 20, seed),
         "brute_force_bellman": lambda: brute_force_bellman(x, p, SearchBudget(2, 10, seed)),
         "contains": lambda: contains(x, p),

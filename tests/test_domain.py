@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,11 +8,12 @@ from helpers import (
     boundary_profile,
     boundary_value,
     central_diff,
+    face_value,
     profile_arrays,
     slice_lower_bound,
     slice_point,
 )
-from ucx.domain import BoundaryFace, LambdaPoint, contains, face_value, section_profile
+from ucx.domain import BoundaryFace, LambdaPoint, contains, section_profile
 from ucx.errors import (
     DomainError,
     NegativeCoordinateError,
@@ -202,25 +204,39 @@ class TestSlicePoint:
 class TestSectionProfile:
     @pytest.mark.parametrize("p", P_GRID)
     def test_anchor_points(self, p):
-        x, f, fp, gp = section_profile(np.array([0.0, 0.5, 1.0]), p)
+        x, f, fp, den = section_profile(np.array([0.0, 0.5, 1.0]), p)
         anchors = [[2.0**-p, 2.0**-p, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
         assert np.allclose(x, anchors, rtol=0, atol=1e-15)
         assert f[0] == 0.0 and f[1] == pytest.approx(0.5**p, rel=1e-15) and f[2] == 1.0
         assert fp[1] == pytest.approx(0.5 ** (p - 1.0), rel=1e-15) and fp[2] == 1.0
-        assert 1.0 + gp[0] == 0.0 and gp[2] == 1.0
+        # 1 + g' is +0.0 at the antipodal point, and 1 from both faces at tau = 1/2
+        assert den[0] == 0.0 and not np.signbit(den[0])
+        assert den[1] == 1.0 and den[2] == 2.0
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_scaled_slice_with_same_data(self, p):
         # every section point below tau = 1 is the slice point (s, g(s), 1) at
-        # s = x1/x3 scaled by x3; f scales with it, f' and g' do not
+        # s = x1/x3 scaled by x3; f scales with it, f' and 1 + g' do not
         tau = np.linspace(0.0, 1.0, 41)[:-1]
-        x, f, fp, gp = section_profile(tau, p)
+        x, f, fp, den = section_profile(tau, p)
         s = x[:, 0] / x[:, 2]
         f_s, g_s, fp_s, gp_s = profile_arrays(s, p)
         assert np.allclose(x[:, 1] / x[:, 2], g_s, rtol=1e-12, atol=1e-15)
         assert np.allclose(f / x[:, 2], f_s, rtol=1e-12, atol=1e-15)
         assert np.allclose(fp, fp_s, rtol=1e-12, atol=1e-15)
-        assert np.allclose(gp, gp_s, rtol=1e-12, atol=1e-15)
+        assert np.allclose(den, 1.0 + gp_s, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("p", [1.0 + 2.0**-52, 1.0 + 2.0**-30, 1.5])
+    def test_denominator_without_cancellation(self, p):
+        # on face 3, 1 + g' = 1 - (r2/r1)**(p-1), which rounds to 0 in float64
+        # once (p - 1) |log(r2/r1)| is below 2**-53; against 50 digits
+        tau = np.linspace(0.0, 0.5, 11)[1:]
+        _, _, _, den = section_profile(tau, p)
+        with mpmath.workdps(50):
+            ref = [1 - ((0.5 - mpmath.mpf(t)) / (0.5 + mpmath.mpf(t))) ** (mpmath.mpf(p) - 1)
+                   for t in tau]
+        assert np.all(den > 0.0)
+        np.testing.assert_allclose(den, [float(r) for r in ref], rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_on_boundary_with_payoff(self, p):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anchors import PAYOFF_P15_E1
-from helpers import boundary_value, three_face_grid
+from helpers import boundary_value, face_root_grid, mirrored
 from ucx.bellman import SearchBudget, brute_force_bellman
 from ucx.certificates import certificate
 from ucx.domain import LambdaPoint, contains
@@ -31,8 +31,8 @@ def slice_values(grid, x3s):
 
 class TestSampleBoundary:
     def test_minimal_grid(self):
-        # two samples on each of faces 3 and 1, plus the face-3 midpoint
-        assert len(sample_boundary(2.0, 2)) == 5
+        # two samples on each of faces 3 and 1, which share tau = 1/2
+        assert len(sample_boundary(2.0, 2)) == 3
 
     def test_all_points_on_boundary(self, grid_p4):
         for pt in grid_p4.points:
@@ -98,11 +98,11 @@ class TestConcavify:
         assert cert - 5e-3 <= env <= cert + 1e-9
 
     def test_outside_hull_infeasible(self):
-        # without the face-3 midpoint an even grid misses the antipodal ray,
-        # so the end of the slice is in the cone but outside the sampled cone
+        # without its tau = 0 sample a grid misses the antipodal ray, so the
+        # end of the slice is in the cone but outside the sampled cone
         full = sample_boundary(2.0, 8)
-        np.testing.assert_allclose(full.points[8], [0.25, 0.25, 1.0])
-        grid = ObstacleGrid(np.delete(full.points, 8, axis=0), np.delete(full.values, 8))
+        np.testing.assert_allclose(full.points[0], [0.25, 0.25, 1.0])
+        grid = ObstacleGrid(full.points[1:], full.values[1:])
         assert concavify(grid, LambdaPoint(1.0, 1.0, 3.0)).result >= 0.25 - 1e-12
         with pytest.raises(InfeasibleError, match="sampled cone"):
             concavify(grid, LambdaPoint(1.0, 1.0, 3.99))
@@ -210,17 +210,31 @@ class TestHighsOracle:
 
 
 class TestFaceTwoMirror:
-    """Face 2 is the mirror of face 1: sampling it too changes no slice query."""
+    """Face 2 and the other half of face 3 mirror the samples: adding them changes no slice query."""
 
     @pytest.mark.parametrize("p", [1.02, 1.25, 1.5, 2.0, 4.0, 8.0, 60.0])
     def test_three_face_grid_gives_the_same_hull(self, p):
         for n_per_face in [2, 7, 24, 61]:
-            grid, old = sample_boundary(p, n_per_face), three_face_grid(p, n_per_face)
-            assert len(old) == len(grid) + n_per_face
+            grid = sample_boundary(p, n_per_face)
+            three_face = mirrored(grid)
             for i in range(26):
                 x = LambdaPoint(1.0, 1.0, i * 2.0**p / 25)
-                new_q, old_q = concavify(grid, x), concavify(old, x)
-                assert (new_q.result, new_q.active_weights) == (old_q.result, old_q.active_weights)
+                q, q3 = concavify(grid, x), concavify(three_face, x)
+                assert (q.result, q.active_weights) == (q3.result, q3.active_weights)
+
+
+class TestAboveFaceRootGrid:
+    """The section grid holds every face-root sample up to its mirror, and more on face 3."""
+
+    @pytest.mark.parametrize("p", [1.02, 1.25, 1.5, 2.0, 4.0, 8.0, 60.0])
+    def test_at_or_above_face_root_grid(self, p):
+        for n_per_face in [2, 3, 7, 24, 25, 60, 61]:
+            grid, old = sample_boundary(p, n_per_face), face_root_grid(p, n_per_face)
+            assert len(grid) == 2 * n_per_face - 1 and len(old) == 3 * n_per_face + 1
+            for i in range(26):
+                x = LambdaPoint(1.0, 1.0, i * 2.0**p / 25)
+                new_v, old_v = concavify(grid, x).result, concavify(old, x).result
+                assert new_v >= old_v - 1e-14 * abs(old_v), (n_per_face, i, new_v, old_v)
 
 
 class TestSandwich:

@@ -18,7 +18,7 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 COMMANDS = (
     ["table", "--p", "1.5", "--eps", "0.5:1.5:3"],
-    ["verify", "--p", "1.5", "--eps", "1", "--grid-n", "101", "--n-chord", "11"],
+    ["verify", "--p", "1.5", "--eps", "1", "--grid-n", "101"],
     ["envelope", "--p", "3", "--grid-n", "3", "--n-per-face", "4", "--restarts", "1",
      "--local-steps", "10"],
     ["bruteforce", "--p", "3", "--x", "1,1,1", "--restarts", "2", "--local-steps", "10"],
