@@ -22,7 +22,6 @@ from .certificates import (
     Certificate,
     VerificationReport,
     certificate,
-    monotonicity_witness,
     sharpness_check,
     verify_appendix,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "delta_implicit",
     "format_witness",
     "moment",
-    "monotonicity_witness",
     "payoff",
     "sample_boundary",
     "sharpness_check",

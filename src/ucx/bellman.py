@@ -106,12 +106,13 @@ class SearchBudget:
     moves, and stops early once all its steps are at the floor.  Every
     row's arithmetic is its own, so a batch of queries, searched as one
     (queries x restarts) array, gives each query the result of a search of
-    it alone.
+    it alone.  The library has no default budget: the CLI holds each
+    command's own.
     """
 
-    restarts: int = 64
-    local_steps: int = 1200
-    seed: int = 0
+    restarts: int
+    local_steps: int
+    seed: int
 
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.local_steps < 1 or self.seed < 0:
@@ -222,11 +223,7 @@ def _pattern_search(f, g, x, p, polls):
     return out_f, out_g, out_a, out_score
 
 
-def brute_force_batch(
-    points: list[LambdaPoint],
-    p: float,
-    budget: SearchBudget | None = None,
-) -> list[BruteForceResult]:
+def brute_force_batch(points: list[LambdaPoint], p: float, budget: SearchBudget) -> list[BruteForceResult]:
     """Maximize the payoff over 3-atom step pairs whose moments equal each point.
 
     On a face of the cone (as ``contains`` classifies it) the only pairs
@@ -250,7 +247,6 @@ def brute_force_batch(
     ``WitnessError``.
     """
     p = check_exponent(p)
-    budget = budget if budget is not None else SearchBudget()
     targets = [x.as_array() for x in points]
     faces = [contains(x, p) for x in points]
     outside = next((i for i, face in enumerate(faces) if face is BoundaryFace.OUTSIDE), len(points))
@@ -286,11 +282,7 @@ def _meets(m, target, p):
     return bool((np.abs(m - target) <= rtol * np.maximum(target, target[:2].max())).all())
 
 
-def brute_force_bellman(
-    x: LambdaPoint,
-    p: float,
-    budget: SearchBudget | None = None,
-) -> BruteForceResult:
+def brute_force_bellman(x: LambdaPoint, p: float, budget: SearchBudget) -> BruteForceResult:
     """``brute_force_batch`` at the single point ``x``."""
     return brute_force_batch([x], p, budget)[0]
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import LambdaPoint, check_eps, check_exponent, section_profile
-from .errors import DomainError, OutOfRangeError, WrongRegimeError
+from .errors import DomainError
 from .moduli import delta
 
 
@@ -116,22 +116,14 @@ def _section_root(w: float) -> float:
     return 1.0 - 0.5 * w if w <= 1.0 else 1.0 / w - 0.5
 
 
-def monotonicity_witness(s, p: float):
+def _monotonicity_witness(s: np.ndarray, p: float) -> np.ndarray:
     """One-variable witness for the p >= 2 majorization: 1 - (s-1)^(p-1) - 2(1-s/2)^(p-1).
 
     Concave on [1, 2] and nonnegative at the endpoints, which forces the
     slice gap to grow monotonically away from its zero.  Identically 0 at
-    p = 2, the equality case.  ``s`` may be a float or an array; the result
-    has its shape.
+    p = 2, the equality case.
     """
-    p = check_exponent(p)
-    if p < 2.0:
-        raise WrongRegimeError(f"witness applies for p >= 2, got p={p}")
-    s = np.asarray(s, dtype=float)
-    if not np.all((1.0 <= s) & (s <= 2.0)):
-        raise OutOfRangeError(f"witness domain is [1, 2], got s={s!r}")
-    w = 1.0 - (s - 1.0) ** (p - 1.0) - 2.0 * (1.0 - s / 2.0) ** (p - 1.0)
-    return float(w) if w.ndim == 0 else w
+    return 1.0 - (s - 1.0) ** (p - 1.0) - 2.0 * (1.0 - s / 2.0) ** (p - 1.0)
 
 
 def _report_min(claim: str, s: np.ndarray, vals: np.ndarray, tol: float) -> VerificationReport:
@@ -144,11 +136,7 @@ def _report_max(claim: str, s: np.ndarray, vals: np.ndarray, tol: float) -> Veri
     return VerificationReport(claim, len(s), float(vals[i]), float(s[i]), bool(vals[i] <= tol))
 
 
-def verify_appendix(
-    p: float,
-    eps: float | None = None,
-    grid_n: int = 10001,
-) -> list[VerificationReport]:
+def verify_appendix(p: float, eps: float | None, grid_n: int) -> list[VerificationReport]:
     """Scan every inequality the certificate majorization rests on.
 
     The slice s in [2**(-p), oo) is scanned whole on the compact section, at
@@ -190,7 +178,7 @@ def verify_appendix(
 
     if ge2:
         sw = np.linspace(1.0, 2.0, grid_n)
-        wit = monotonicity_witness(sw, p)
+        wit = _monotonicity_witness(sw, p)
         reports.append(_report_min("w-nonneg", sw, wit, 1e-12))
         d2 = wit[2:] - 2.0 * wit[1:-1] + wit[:-2]
         tol_cc = 1e-9 * max(1.0, float(np.abs(wit).max()))

@@ -23,6 +23,10 @@ from .errors import UcxError
 from .moduli import delta, delta_implicit
 
 
+#: how far ``envelope``'s search may exceed the envelope before a row breaks the sandwich
+SANDWICH_TOL = 2.5e-2
+
+
 class UsageError(UcxError):
     """A command line the CLI itself cannot act on."""
 
@@ -104,8 +108,6 @@ def cmd_envelope(args) -> int:
     cert = certificates.certificate(p, args.eps)
     if args.grid_n < 2:
         raise UsageError(f"grid-n must be at least 2, got {args.grid_n}")
-    if args.sandwich_tol < 0.0:
-        raise UsageError(f"sandwich-tol must be nonnegative, got {args.sandwich_tol!r}")
     try:
         top = 2.0**p
     except OverflowError:  # past p = 1024 every row but the first overflows
@@ -125,14 +127,14 @@ def cmd_envelope(args) -> int:
     for row, found in zip(rows, bellman.brute_force_batch(points, p, budget)):
         row["brute_force"] = found.value
     # the envelope and the search are both lower bounds up to rounding, so both
-    # meet the certificate with a 1e-9 slack; --sandwich-tol is for the search's
-    # shortfall below the envelope only
+    # meet the certificate with a 1e-9 slack; SANDWICH_TOL is for the envelope's
+    # shortfall below the search only
     violations = [
         r for r in rows
-        if not (r["brute_force"] - args.sandwich_tol <= r["envelope"]
+        if not (r["brute_force"] - SANDWICH_TOL <= r["envelope"]
                 and max(r["envelope"], r["brute_force"]) <= r["certificate"] + 1e-9)
     ]
-    _write_output(args.output, _emit_rows(rows, ["x3", "envelope", "certificate", "brute_force"], args.format))
+    _write_output(args.output, _emit_rows(rows, ["x3", "envelope", "certificate", "brute_force"], "csv"))
     for r in violations:
         print(f"ucx: sandwich violation at x3={r['x3']!r}: "
               f"brute_force={r['brute_force']!r} envelope={r['envelope']!r} "
@@ -200,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--restarts", type=int, default=24)
     e.add_argument("--local-steps", type=int, default=600, dest="local_steps", help=_LOCAL_STEPS_HELP)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--sandwich-tol", type=float, default=2.5e-2, dest="sandwich_tol")
-    e.add_argument("--format", choices=["csv", "json"], default="csv")
     e.add_argument("--output", default="-")
     e.set_defaults(fn=cmd_envelope)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NegativeCoordinateError
+from .errors import DomainError
 
 #: relative tolerance for boundary-face classification
 FACE_TOL = 1e-9
@@ -64,7 +64,7 @@ class BoundaryFace(enum.Enum):
 
 @dataclass(frozen=True)
 class LambdaPoint:
-    """A moment point; membership in the cone is checked, not assumed."""
+    """A moment point; ``contains`` checks it against the cone, construction does not."""
 
     x1: float
     x2: float
@@ -76,7 +76,7 @@ class LambdaPoint:
 
 def _roots(x: LambdaPoint, p: float) -> tuple[float, float, float]:
     if not all(math.isfinite(c) and c >= 0.0 for c in (x.x1, x.x2, x.x3)):
-        raise NegativeCoordinateError(f"moment coordinates must be finite and nonnegative, got {x}")
+        raise DomainError(f"moment coordinates must be finite and nonnegative, got {x}")
     inv = 1.0 / p
     return (x.x1**inv, x.x2**inv, x.x3**inv)
 
@@ -129,7 +129,9 @@ def section_profile(tau, p: float):
     r3 = np.where(low, 1.0, 2.0 - 2.0 * tau)
     x = np.stack([r1, r2, r3], axis=-1) ** p
     f_prime = (tau / r1) ** (p - 1.0)
-    with np.errstate(divide="ignore"):  # log(0) = -inf at r2 = 0 gives 1 + g' = 1
+    # log(0) = -inf at r2 = 0, and (p - 1) log(r2/r1) overflowing to -inf at p
+    # near the largest float, both give 1 + g' = 1
+    with np.errstate(divide="ignore", over="ignore"):
         low_den = 0.0 - np.expm1((p - 1.0) * np.log(r2 / r1))  # 0.0 - 0.0 is +0.0
     den = np.where(low, low_den, 1.0 + (r2 / r1) ** (p - 1.0))
     return x, tau**p, f_prime, den

@@ -48,9 +48,8 @@ class ObstacleGrid:
 
 @dataclass(frozen=True)
 class EnvelopeQuery:
-    """Concavification value at ``x`` with its active sample decomposition."""
+    """Concavification value at a query with its active sample decomposition."""
 
-    x: LambdaPoint
     result: float
     active_weights: tuple[tuple[int, float], ...]
 
@@ -65,12 +64,17 @@ def sample_boundary(p: float, n_per_face: int) -> ObstacleGrid:
     sampled cone.  The rest of the boundary, face 2 and the other half of
     face 3, mirrors these samples under x1 <-> x2 with the same payoff, and
     ``concavify`` averages each sample with its mirror, so its samples would
-    repeat these bit for bit.
+    repeat these bit for bit.  The antipodal sample's x3 / (x1 + x2), 2^(p-1),
+    overflows float64 from p = 1025 on, where ``DomainError`` is raised.
     """
     p = check_exponent(p)
     if n_per_face < 2:
         raise DomainError(f"n_per_face must be at least 2, got {n_per_face}")
     x, f, _, _ = section_profile(np.linspace(0.0, 1.0, 2 * n_per_face - 1), p)
+    with np.errstate(divide="ignore", over="ignore"):
+        finite = np.isfinite(x[:, 2] / (x[:, 0] + x[:, 1])).all()
+    if not finite:
+        raise DomainError(f"the antipodal sample's x3 / (x1 + x2) = 2**(p-1) overflows float64 at p={p!r}")
     return ObstacleGrid(x, f)
 
 
@@ -108,7 +112,7 @@ def concavify(grid: ObstacleGrid, x: LambdaPoint) -> EnvelopeQuery:
     if x.x1 != x.x2:
         raise DomainError(f"concavify answers queries with x1 == x2 only, got {x}")
     if x.x1 == x.x3 == 0.0:
-        return EnvelopeQuery(x, 0.0, ())
+        return EnvelopeQuery(0.0, ())
     mass = 2.0 * x.x1
     if not mass > 0.0:
         raise InfeasibleError(f"query {x} is outside the cone")
@@ -127,4 +131,4 @@ def concavify(grid: ObstacleGrid, x: LambdaPoint) -> EnvelopeQuery:
         terms = ((lo, 1.0 - mu), (hi, mu))
     value = mass * sum(m * h[i] for i, m in terms)
     active = tuple((i, float(mass * m / sums[i])) for i, m in terms)
-    return EnvelopeQuery(x, float(value), active)
+    return EnvelopeQuery(float(value), active)

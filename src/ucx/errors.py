@@ -6,11 +6,12 @@ class UcxError(Exception):
 
 
 class DomainError(UcxError):
-    """An argument is outside the mathematical domain of the operation."""
+    """An argument is outside the mathematical domain of the operation.
 
-
-class NoSignChangeError(UcxError):
-    """Root bracket endpoints do not straddle a sign change."""
+    This covers a root bracket whose ends do not straddle a sign change, a
+    negative or non-finite moment coordinate, and an exponent from the
+    wrong regime for the operation.
+    """
 
 
 class NonFiniteError(UcxError):
@@ -19,18 +20,6 @@ class NonFiniteError(UcxError):
 
 class InfeasibleError(UcxError):
     """A query lies outside the cone or outside the sampled part of it."""
-
-
-class NegativeCoordinateError(UcxError):
-    """Moment coordinates must be finite and nonnegative."""
-
-
-class OutOfRangeError(UcxError):
-    """Slice parameter outside the parametrized range."""
-
-
-class WrongRegimeError(UcxError):
-    """Operation called with an exponent from the wrong regime."""
 
 
 class NoFeasiblePairError(UcxError):

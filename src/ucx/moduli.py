@@ -19,7 +19,7 @@ import math
 import sys
 
 from .domain import check_eps, check_exponent
-from .errors import WrongRegimeError
+from .errors import DomainError
 from .numerics import bisect_root
 
 def _log_mean_power(L: float, a: float, p: float) -> float:
@@ -86,7 +86,7 @@ def delta_implicit(p: float, eps: float) -> float:
     p = check_exponent(p)
     eps = check_eps(eps)
     if p > 2.0:
-        raise WrongRegimeError(f"implicit equation requires 1 < p <= 2, got p={p}")
+        raise DomainError(f"implicit equation requires 1 < p <= 2, got p={p}")
     if eps == 0.0:
         return 0.0
     if eps == 2.0:

@@ -14,7 +14,7 @@ import math
 import sys
 from typing import Callable
 
-from .errors import DomainError, NonFiniteError, NoSignChangeError
+from .errors import DomainError, NonFiniteError
 
 Func = Callable[[float], float]
 
@@ -51,7 +51,7 @@ def bisect_root(fn: Func, lo: float, hi: float) -> float:
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
-        raise NoSignChangeError(
+        raise DomainError(
             f"fn({lo!r})={flo!r} and fn({hi!r})={fhi!r} have the same sign"
         )
     lo_neg = flo < 0.0

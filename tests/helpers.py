@@ -8,7 +8,7 @@ import numpy as np
 from ucx.bellman import WEIGHT_TOL
 from ucx.domain import BoundaryFace, LambdaPoint, check_exponent, contains
 from ucx.envelope import ObstacleGrid
-from ucx.errors import DomainError, OutOfRangeError, UcxError
+from ucx.errors import DomainError, UcxError
 
 
 class NotOnBoundaryError(UcxError):
@@ -131,7 +131,7 @@ def boundary_profile(s: float, p: float) -> BoundaryProfile:
     smin = slice_lower_bound(p)
     if s < smin:
         if s < smin - 1e-12 * (1.0 + smin):
-            raise OutOfRangeError(f"slice parameter {s!r} below 2**(-p) = {smin!r}")
+            raise DomainError(f"slice parameter {s!r} below 2**(-p) = {smin!r}")
         s = smin
     f, g, fp_, gp_ = profile_arrays(s, p)
     return BoundaryProfile(float(s), float(g), float(f), float(gp_), float(fp_))

@@ -86,12 +86,12 @@ def test_criterion_3_appendix_verification():
     }
     with Stopwatch(10.0) as sw:
         for p in [2.0, 2.5, 3.0, 5.0]:
-            reports = verify_appendix(p, grid_n=10001)
+            reports = verify_appendix(p, None, 10001)
             assert {r.claim for r in reports} == ge2_claims
             assert all(r.passed for r in reports), [r.line() for r in reports if not r.passed]
         for p in [1.2, 1.5, 1.8]:
             for eps in [0.5, 1.0, 1.5]:
-                reports = verify_appendix(p, eps, grid_n=10001)
+                reports = verify_appendix(p, eps, 10001)
                 assert {r.claim for r in reports} == lt2_claims
                 assert all(r.passed for r in reports), [r.line() for r in reports if not r.passed]
     report(3, "appendix verification", sw)
@@ -193,10 +193,9 @@ def test_criterion_8_determinism():
     commands = [
         # criterion-5 configurations driven through the CLI
         ["envelope", "--p", "4", "--grid-n", "25", "--n-per-face", "60",
-         "--restarts", "32", "--local-steps", "600", "--seed", "7", "--sandwich-tol", "0.05"],
+         "--restarts", "32", "--local-steps", "600", "--seed", "7"],
         ["envelope", "--p", "1.5", "--eps", "1", "--grid-n", "5", "--n-per-face", "60",
-         "--restarts", "32", "--local-steps", "600", "--seed", "7",
-         "--sandwich-tol", "0.05"],
+         "--restarts", "32", "--local-steps", "600", "--seed", "7"],
         ["bruteforce", "--p", "4", "--x", "1,1,1", "--seed", "7"],
         ["bruteforce", "--p", "1.5", "--x", "1,1,1", "--seed", "7"],
         ["bruteforce", "--p", "2", "--x", "1,1,1", "--seed", "7"],

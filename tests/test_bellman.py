@@ -21,6 +21,10 @@ from ucx.domain import BoundaryFace, LambdaPoint, contains
 from ucx.errors import DomainError, InfeasibleError, NoFeasiblePairError, NonFiniteError, WitnessError
 
 
+#: the budget of calls that run no search: points outside the cone or on a face
+NO_SEARCH = SearchBudget(1, 1, seed=0)
+
+
 def pair(*atoms):
     return StepPair(tuple(atoms))
 
@@ -167,10 +171,10 @@ class TestHanner:
 class TestBruteForce:
     def test_outside_rejected(self):
         with pytest.raises(InfeasibleError):
-            brute_force_bellman(LambdaPoint(1.0, 1.0, 100.0), 2.0)
+            brute_force_bellman(LambdaPoint(1.0, 1.0, 100.0), 2.0, NO_SEARCH)
 
     def test_apex(self):
-        res = brute_force_bellman(LambdaPoint(0.0, 0.0, 0.0), 2.0)
+        res = brute_force_bellman(LambdaPoint(0.0, 0.0, 0.0), 2.0, NO_SEARCH)
         assert res.value == 0.0 and res.residual == 0.0
 
     def test_antipodal_boundary_point_pins_value_to_zero(self):
@@ -203,7 +207,7 @@ class TestBruteForce:
     def test_faces_give_the_collinear_atom(self, p):
         # no 3 atoms have full rank on a face: the one-atom pair is returned
         for x3, value in [(0.0, 1.0), (2.0**p, 0.0)]:
-            res = brute_force_bellman(LambdaPoint(1.0, 1.0, x3), p)
+            res = brute_force_bellman(LambdaPoint(1.0, 1.0, x3), p, NO_SEARCH)
             assert len(res.witness.atoms) == 1
             assert res.value == value and res.residual == 0.0
         faces = [(2.0**p, 1.0, 1.0), (1.0, 2.0**p, 1.0), (1.0, 2.0**p, 3.0**p)]
@@ -211,14 +215,14 @@ class TestBruteForce:
             BoundaryFace.FACE1, BoundaryFace.FACE2, BoundaryFace.FACE3]
         for coords in faces:
             x = LambdaPoint(*coords)
-            res = brute_force_bellman(x, p)
+            res = brute_force_bellman(x, p, NO_SEARCH)
             assert len(res.witness.atoms) == 1
             assert res.value == pytest.approx(boundary_value(x, p), rel=1e-14)
             assert res.residual <= 1e-15 * np.linalg.norm(x.as_array())
         # within the face tolerance of face 3: the one-atom pair is returned
         # as it is, its moments off x by that tolerance, not by rounding
         x = LambdaPoint(1.0, 1.0, 2.0**p * (1.0 - 1e-11))
-        res = brute_force_bellman(x, p)
+        res = brute_force_bellman(x, p, NO_SEARCH)
         assert len(res.witness.atoms) == 1 and res.value == 0.0
         assert 0.0 < res.residual <= 1e-10 * x.x3
 
@@ -354,11 +358,11 @@ class TestBatch:
         assert len(batch[0].witness.atoms) == len(batch[-1].witness.atoms) == 1
 
     def test_empty_batch(self):
-        assert brute_force_batch([], 2.0) == []
+        assert brute_force_batch([], 2.0, NO_SEARCH) == []
 
     def test_all_face_batch_runs_no_search(self, monkeypatch, capsys):
         sizes = spy_batches(monkeypatch)
-        res = brute_force_batch(slice_rows(2.5, 2), 2.5)
+        res = brute_force_batch(slice_rows(2.5, 2), 2.5, NO_SEARCH)
         assert [r.value for r in res] == [1.0, 0.0]
         assert all(len(r.witness.atoms) == 1 for r in res)
         assert cli_main(["envelope", "--p", "2.5", "--grid-n", "2"]) == 0

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchors import DELTA_E1_P4, DELTA_P15_E1
@@ -165,10 +165,13 @@ class TestVerify:
         assert code == 0 and err == "" and len(lines) == 6
         assert all(" pass=true " in line for line in lines)
 
-    @pytest.mark.parametrize("p", ["1100", "2000"])
+    @pytest.mark.parametrize("p", ["1100", "2000", "1e308", "1.6363308087894492e+308",
+                                   "1.7976931348623157e+308"])
     def test_large_p_certifies(self, p):
         # the scans run on the compact section and never form 2**p; there
-        # 2**-p underflows to 0 and moves no scanned quantity
+        # 2**-p underflows to 0 and moves no scanned quantity.  Near the
+        # largest float (p - 1) log(r2/r1) on face 3 overflows to -inf, which
+        # still gives 1 + g' = 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(["verify", "--p", p, "--grid-n", "11"])
@@ -439,6 +442,8 @@ class TestBadInputsExit2:
         "bruteforce --p 0.5 --x 1,1,1", "bruteforce --p 2 --x -1,1,1", "bruteforce --p 2 --x=-1,1,1",
         "bruteforce --p 2 --x nan,1,1", "bruteforce --p 2 --x 1,1,1 --seed -1",
         "bruteforce --p 3 --x 1,1,1 --theta 0.3",
+        # the sandwich tolerance is fixed and the envelope prints CSV only
+        "envelope --p 3 --sandwich-tol 0.05", "envelope --p 3 --format json",
         # a negative tolerance made every exact meeting of search and envelope a violation
         "envelope --p=5.824077088250119 --grid-n=2 --n-per-face=2 --restarts=2 --local-steps=2"
         " --sandwich-tol=-2.6e16",
@@ -507,7 +512,6 @@ def _argv(draw):
         argv += draw(_opt("eps", _number()))
         argv += [f"--grid-n={draw(_ints(-1, 11))}", f"--n-per-face={draw(_ints(-1, 6))}",
                  f"--restarts={draw(_ints(-1, 2))}", f"--local-steps={draw(_ints(-1, 20))}"]
-        argv += draw(_opt("sandwich-tol", _number()))
         argv += draw(_opt("seed", _ints(-2, 2**64)))
     else:
         coords = st.lists(_number(), min_size=2, max_size=4).map(",".join)
@@ -519,6 +523,8 @@ def _argv(draw):
 
 class TestFuzz:
     @given(_argv())
+    # 1 + g' on face 3 once warned of an overflow at p near the largest float
+    @example(["verify", "--p=1.6363308087894492e+308", "--grid-n=3", "--trials=0"])
     @settings(max_examples=150, deadline=None)
     def test_main_exits_cleanly(self, argv):
         # an exception escaping main fails the test with its traceback

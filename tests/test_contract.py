@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ucx.bellman import SearchBudget, brute_force_bellman, witness_test
 from ucx.certificates import Certificate, certificate, sharpness_check, verify_appendix
 from ucx.domain import LambdaPoint, contains
-from ucx.envelope import sample_boundary
+from ucx.envelope import concavify, sample_boundary
 from ucx.errors import UcxError
 from ucx.moduli import delta, delta_implicit
 
@@ -33,6 +33,7 @@ def _calls(p, eps, x, seed):
         "brute_force_bellman": lambda: brute_force_bellman(x, p, SearchBudget(2, 10, seed)),
         "contains": lambda: contains(x, p),
         "sample_boundary": lambda: sample_boundary(p, 4),
+        "concavify": lambda: concavify(sample_boundary(p, 4), x),
     }
 
 

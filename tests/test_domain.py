@@ -14,11 +14,7 @@ from helpers import (
     slice_point,
 )
 from ucx.domain import BoundaryFace, LambdaPoint, contains, section_profile
-from ucx.errors import (
-    DomainError,
-    NegativeCoordinateError,
-    OutOfRangeError,
-)
+from ucx.errors import DomainError
 
 P_GRID = [1.1, 1.5, 2.0, 3.0, 4.0]
 
@@ -37,7 +33,7 @@ class TestContains:
         assert contains(LambdaPoint(0.0, 0.0, 0.0), 2.0).on_boundary
 
     def test_negative_coordinate(self):
-        with pytest.raises(NegativeCoordinateError):
+        with pytest.raises(DomainError):
             contains(LambdaPoint(-1.0, 1.0, 1.0), 2.0)
 
     def test_exponent_validation(self):
@@ -147,7 +143,7 @@ class TestBoundaryProfile:
         assert prof.f_prime == pytest.approx(FPRIME_4_P15, abs=1e-13)
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(DomainError):
             boundary_profile(0.2, 1.5)
 
     def test_tiny_rounding_below_endpoint_clamped(self):

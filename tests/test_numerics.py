@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import central_diff
-from ucx.errors import DomainError, NonFiniteError, NoSignChangeError
+from ucx.errors import DomainError, NonFiniteError
 from ucx.numerics import bisect_root
 
 
@@ -23,7 +23,7 @@ class TestBisect:
         assert abs(bisect_root(lambda t: t**3, -1.0, 1.0)) <= 1e-100
 
     def test_no_sign_change(self):
-        with pytest.raises(NoSignChangeError):
+        with pytest.raises(DomainError):
             bisect_root(lambda t: t * t + 1.0, -1.0, 1.0)
 
     def test_non_finite(self):

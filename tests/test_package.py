@@ -7,16 +7,31 @@ from functools import reduce
 from pathlib import Path
 
 import ucx
+from ucx import errors
 from ucx.errors import UcxError
 
 SRC = Path(ucx.__file__).resolve().parent
 
 
+def _modules():
+    """(path, syntax tree) of each module of the package."""
+    for path in sorted(SRC.glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _raised_class(module, node):
+    """The class a ``raise`` statement names, looked up in its module or the builtins."""
+    named = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    head, *rest = ast.unparse(named).split(".")
+    scope = module if hasattr(module, head) else builtins
+    return reduce(getattr, rest, getattr(scope, head))
+
+
 def test_no_assert_statements():
     # ``python -O`` strips asserts, so a runtime invariant written as one is not checked
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    for path, tree in _modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
@@ -25,18 +40,41 @@ def test_no_assert_statements():
 def test_every_raise_is_a_ucx_error():
     # a caller of the library catches UcxError alone, so no raise may name anything else
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path, tree in _modules():
         module = importlib.import_module(f"ucx.{path.stem}")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Raise) or node.exc is None:  # a bare raise re-raises
                 continue
-            named = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            head, *rest = ast.unparse(named).split(".")
-            scope = module if hasattr(module, head) else builtins
-            cls = reduce(getattr, rest, getattr(scope, head))
+            cls = _raised_class(module, node)
             if not (isinstance(cls, type) and issubclass(cls, UcxError)):
-                found.append(f"{path.name}:{node.lineno} raises {ast.unparse(named)}")
+                found.append(f"{path.name}:{node.lineno} raises {ast.unparse(node.exc)}")
     assert found == []
+
+
+def test_every_error_class_is_raised():
+    # a class no code raises tells a caller nothing its base class does not
+    raised = set()
+    for path, tree in _modules():
+        module = importlib.import_module(f"ucx.{path.stem}")
+        raised |= {_raised_class(module, node) for node in ast.walk(tree)
+                   if isinstance(node, ast.Raise) and node.exc is not None}
+    defined = [cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, UcxError) and cls is not UcxError]
+    assert [cls.__name__ for cls in defined if cls not in raised] == []
+
+
+def test_every_public_name_is_used_in_the_package():
+    # a public name only the tests call belongs in the tests; a name's own
+    # definition and the package's re-export of it do not count as uses
+    used = set()
+    for path, tree in _modules():
+        if path.name == "__init__.py":
+            continue
+        for top in tree.body:
+            names = {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(top) if isinstance(node, ast.Attribute)}
+            used |= names - {getattr(top, "name", None)}
+    assert [name for name in ucx.__all__ if name not in used] == []
 
 
 def test_all_names_resolve():
