@@ -3,13 +3,12 @@
 The sharp constant is computed by a closed form for p >= 2 and by one
 root solve, for u = 1 - delta, for 1 < p < 2.  It is certified three
 separate ways: affine tangent-plane certificates verified by grid scans,
-the upper concave hull of sampled boundary data, and derivative-free
-maximization over step-function pairs.
+the upper concave hull of sampled boundary data, and an exact search of
+two-atom step pairs, chords between two boundary moment vectors.
 """
 
 from .bellman import (
     BruteForceResult,
-    SearchBudget,
     StepPair,
     brute_force_batch,
     brute_force_bellman,
@@ -37,7 +36,6 @@ __all__ = [
     "EnvelopeQuery",
     "LambdaPoint",
     "ObstacleGrid",
-    "SearchBudget",
     "StepPair",
     "VerificationReport",
     "bisect_root",

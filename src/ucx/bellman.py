@@ -1,11 +1,11 @@
-"""The extremal value function from below: step pairs and an exactly feasible search.
+"""The extremal value function from below: step pairs and an exact two-atom search.
 
 A step pair is a weighted list of atoms (a_j, f_j, g_j) standing for a
 piecewise-constant pair on a unit-mass interval; its averaged moments land
 in the cone and its payoff, the averaged midpoint |(f+g)/2|^p, is a lower
 bound on the value function there.
-``brute_force_batch`` searches three atoms' values and solves for their
-weights exactly, for a batch of query points at once, so each payoff is
+``brute_force_batch`` finds, for each query point, the best chord through it
+between two single-atom moment vectors, deterministically, so each payoff is
 such a lower bound up to float rounding; ``brute_force_bellman`` is its
 one-point call.
 ``witness_test`` checks the midpoint-contraction definition of the modulus
@@ -22,34 +22,37 @@ import numpy as np
 
 from .certificates import VerificationReport
 from .domain import BoundaryFace, LambdaPoint, check_eps, check_exponent, contains
-from .errors import DomainError, InfeasibleError, NoFeasiblePairError, NonFiniteError, WitnessError
+from .errors import DomainError, InfeasibleError, NonFiniteError, WitnessError
 from .moduli import delta
 
 #: weights must sum to one within this slack
 WEIGHT_TOL = 1e-12
-#: atoms per searched pair: the conic LP behind the value function has 3 rows
-#: and no mass row, so 3 atoms carry each of its vertices (Caratheodory)
-ATOM_COUNT = 3
+#: atoms per searched pair: a chord between two single-atom moment vectors
+#: reaches Hanner's (1956) value, whose extremal pairs have two atoms
+ATOM_COUNT = 2
 #: atoms per random pair in ``witness_test``
 WITNESS_ATOMS = 4
 #: largest exponent ``witness_test`` takes: a normalized atom of weight w has
 #: |f|^p, |g|^p <= 1/w, so |f - g|^p <= 2^p / w, and every weight is above 0.05/4
 WITNESS_P_MAX = math.log2(0.0125 * sys.float_info.max)
-#: relative bound on a solved pair's moment error: 64 units of float64
-#: rounding, room for the 3x3 solve and the moment sums
+#: relative bound on a solved pair's moment error, per unit of p: 64 units of
+#: float64 rounding, room for the chord's weight solve and the moment sums
 MOMENT_RTOL = 64 * 2.0**-53
-#: pattern-search step floor, for atom values of a query scaled to max(x) = 1
-STEP_FLOOR = 1e-12
-#: rows (queries x restarts) one pattern search holds at most; larger batches
-#: run in chunks of whole queries, so memory stays bounded
-BATCH_ROWS = 256
-#: pattern-search moves of one atom's (f_j, g_j): + and - along each of
-#: (1, 0), (0, 1), (1/2, 1/2) and (1/2, -1/2), the last two stepping its
-#: midpoint sum and its difference; a poll tries them for every atom
-_MOVE_F = np.array([1.0, -1.0, 0.0, -0.0, 0.5, -0.5, 0.5, -0.5])
-_MOVE_G = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, -0.5, 0.5])
-#: weight solves per poll and row
-POLL_TRIALS = ATOM_COUNT * len(_MOVE_F)
+#: cap of the moment error bounds: past p = 1e-9 / MOMENT_RTOL, about 1.4e5,
+#: a pair whose values round by p units is no witness of the value to 1e-9
+MOMENT_RTOL_MAX = 1e-9
+#: scan points per side of the hexagon of atom values (``_hexagon``), a power
+#: of two, so its corners t = 0, 1, 2 are scan points
+SCAN_PER_SIDE = 64
+#: scan peaks each query refines: near p = 1 the best chord's peak is narrow,
+#: and the scan can rank another above it
+PEAKS = 4
+#: first ends each round of zooming in on a peak scores, and the rounds: each
+#: shrinks the bracket by (ZOOM - 1) / 2 = 128, from two cells to 1.2e-10
+ZOOM = 257
+ZOOM_ROUNDS = 4
+#: most false-position steps per chord end
+ROOT_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -96,33 +99,9 @@ def payoff(pair: StepPair, p: float) -> float:
 
 
 @dataclass(frozen=True)
-class SearchBudget:
-    """Restarts and pattern-search steps of the step-pair search, and its seed.
-
-    Restart i starts from values drawn from PCG64 seeded with (seed, i), the
-    same for every query, so identical budgets reproduce bit-for-bit.  A
-    restart scores its start, then spends ``2 * local_steps`` weight solves
-    as ``local_steps // 12`` polls (at least one) of ``POLL_TRIALS`` = 24
-    moves, and stops early once all its steps are at the floor.  Every
-    row's arithmetic is its own, so a batch of queries, searched as one
-    (queries x restarts) array, gives each query the result of a search of
-    it alone.  The library has no default budget: the CLI holds each
-    command's own.
-    """
-
-    restarts: int
-    local_steps: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.restarts < 1 or self.local_steps < 1 or self.seed < 0:
-            raise DomainError(f"a search budget needs restarts, local_steps >= 1 and seed >= 0: {self}")
-
-
-@dataclass(frozen=True)
 class BruteForceResult:
-    """Best witness found: ``value`` is its payoff and ``residual`` the distance
-    of its moments from the query point, which is float rounding."""
+    """Best witness found: ``value`` is its payoff (before any scale-back from
+    max(x) = 1), ``residual`` its moments' distance from x, float rounding."""
 
     value: float
     witness: StepPair
@@ -143,212 +122,182 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _solve_weights(vj, wj, vk, wk, vl, wl, x, tol):
-    """Weights (a_j, a_k, a_l) with a_j v_j + a_k v_k + a_l v_l = x, and their scores.
+def _hexagon(t, p):
+    """Atom values (f, g) at t on the hexagon max(|f|, |g|, |f - g|) = 1, their moments and payoff.
 
-    Moment vectors, ``x`` and ``tol`` hold their components on the first
-    axis; the other axes broadcast, with rows last, and every number is
-    componentwise arithmetic within its row.  Cramer's rule: the numerator
-    of a_j is x . (v_k x v_l), and the determinant and the numerators of
-    a_k and a_l are dot products of the moved atom's v_j with v_k x v_l,
-    x x v_l and v_k x x, so the trials for atom j share these cross
-    products.  A trial with a >= 0 and moments within ``tol`` of x scores
-    its payoff, the exact optimum of the inner LP for those atom values;
-    any other scores -1 minus its share of negative weight, below every
-    payoff, so a restart climbs into feasibility first.  A moment |f|^p
-    that underflowed is off by up to the least normal float, so each
-    moment error counts max(a) times that on top.
+    Its sides are (1, t), (2 - t, 1) and (2 - t, 3 - t) for t in [0, 1],
+    [1, 2] and [2, 3], with period 3 (``np.mod`` of t >= 0 is exact): (f, g)
+    and (-f, -g) are one atom.  Every atom is a positive multiple of one of
+    these, each with largest moment 1, so none overflows.
     """
-    kl = _cross(vk, vl)
-    det = _dot(vj, kl)
-    a = _dot(x, kl) / det, _dot(vj, _cross(x, vl)) / det, _dot(vj, _cross(vk, x)) / det
-    slack = np.maximum(np.maximum(a[0], a[1]), a[2]) * sys.float_info.min
-    feasible = (a[0] >= 0.0) & (a[1] >= 0.0) & (a[2] >= 0.0)
-    for c in range(3):
-        feasible &= np.abs(a[0] * vj[c] + a[1] * vk[c] + a[2] * vl[c] - x[c]) + slack <= tol[c]
-    neg = np.maximum(-a[0], 0.0) + np.maximum(-a[1], 0.0) + np.maximum(-a[2], 0.0)
-    neg = np.fmin(neg / (np.abs(a[0]) + np.abs(a[1]) + np.abs(a[2])), 1.0)
-    return a, np.where(feasible, a[0] * wj + a[1] * wk + a[2] * wl, -1.0 - neg)
+    t = np.mod(t, 3.0)
+    f, g = np.minimum(1.0, 2.0 - t), np.minimum(np.minimum(t, 1.0), 3.0 - t)
+    return (f, g) + _atom_terms(f, g, p)
 
 
-def _pattern_search(f, g, x, p, polls):
-    """Full-poll pattern search over the atom values ``f``, ``g`` (atoms x rows).
+def _chord(x, t1, t2, p):
+    """Payoff and weights (a1, a2) of the chord between the atoms at t1 and t2 through x.
 
-    Rows run over (query, restart), and column r of ``x`` is row r's query,
-    with largest coordinate 1.  Each poll scores, in one weight solve, every
-    move of ``_MOVE_F``, ``_MOVE_G`` of every atom, scaled by that (atom,
-    direction)'s step.  A row takes its best trial if it raises the score,
-    and that step grows by 1.6; every step whose two signs both failed
-    halves, down to ``STEP_FLOOR``.  Steps start at 1/2.  A row whose steps
-    are all at the floor made no move and would repeat its poll, so it
-    leaves the batch.  Returns each row's final values, the weights of its
-    last accepted move in atom order and its score.
+    a1 v1 + a2 v2 = x is solved by cross products with v1 x v2.  A negative
+    weight, or moments off x by more than p ``MOMENT_RTOL`` (at most
+    ``MOMENT_RTOL_MAX``) relative to each moment or to max(x1, x2), which bounds
+    the payoff, scores -inf: the p-th powers multiply the ends' rounding by p.
     """
-    rows = np.arange(f.shape[1])
-    out_f, out_g, out_a, out_score = np.empty_like(f), np.empty_like(g), np.empty_like(f), np.empty(len(rows))
-    # the payoff is at most (x1 + x2)/2 by convexity, so each
-    # moment is checked relative to itself or to max(x1, x2), the larger
-    tol = MOMENT_RTOL * np.maximum(x, np.maximum(x[0], x[1]))
-    v, w = _atom_terms(f, g, p)
-    a, score = _solve_weights(v[:, 0], w[0], v[:, 1], w[1], v[:, 2], w[2], x, tol)
-    a = np.array(a)
-    h = np.full((ATOM_COUNT, len(_MOVE_F) // 2, len(rows)), 0.5)
-    for _ in range(polls):
-        step = np.repeat(h, 2, axis=1)
-        tf, tg = f[:, None] + step * _MOVE_F[:, None], g[:, None] + step * _MOVE_G[:, None]
-        vt, wt = _atom_terms(tf, tg, p)
-        # atom j moves against atoms k = j + 1 and l = j + 2 (mod 3)
-        vk, vl = np.roll(v, -1, axis=1)[:, :, None], np.roll(v, -2, axis=1)[:, :, None]
-        wk, wl = np.roll(w, -1, axis=0)[:, None], np.roll(w, -2, axis=0)[:, None]
-        at, st = _solve_weights(vt, wt, vk, wk, vl, wl, x[:, None, None], tol[:, None, None])
-        up = st > score
-        h = np.where(up.reshape(h.shape[:2] + (2, -1)).any(axis=2), h, np.maximum(0.5 * h, STEP_FLOOR))
-        j, t = np.divmod(st.reshape(POLL_TRIALS, -1).argmax(axis=0), len(_MOVE_F))
-        moved = up[j, t, np.arange(len(rows))].nonzero()[0]
-        j, t = j[moved], t[moved]
-        f[j, moved], g[j, moved] = tf[j, t, moved], tg[j, t, moved]
-        v[:, j, moved], w[j, moved], score[moved] = vt[:, j, t, moved], wt[j, t, moved], st[j, t, moved]
-        for i in range(ATOM_COUNT):
-            a[(j + i) % ATOM_COUNT, moved] = at[i][j, t, moved]
-        h[j, t // 2, moved] *= 1.6
-        done = (h <= STEP_FLOOR).all(axis=(0, 1))
-        if done.any():
-            out_f[:, rows[done]], out_g[:, rows[done]] = f[:, done], g[:, done]
-            out_a[:, rows[done]], out_score[rows[done]] = a[:, done], score[done]
-            rows, f, g, v, w, a, score, h, x, tol = (
-                arr[..., ~done] for arr in (rows, f, g, v, w, a, score, h, x, tol))
-            if not len(rows):
-                break
-    out_f[:, rows], out_g[:, rows], out_a[:, rows], out_score[rows] = f, g, a, score
-    return out_f, out_g, out_a, out_score
+    _, _, v1, w1 = _hexagon(t1, p)
+    _, _, v2, w2 = _hexagon(t2, p)
+    n = _cross(v1, v2)
+    a1, a2 = _dot(_cross(x, v2), n) / _dot(n, n), _dot(_cross(v1, x), n) / _dot(n, n)
+    tol = min(MOMENT_RTOL * p, MOMENT_RTOL_MAX) * np.maximum(x, np.maximum(x[0], x[1]))
+    feasible = (a1 >= 0.0) & (a2 >= 0.0) & (np.abs(a1 * v1 + a2 * v2 - x) <= tol).all(axis=0)
+    return np.where(feasible, a1 * w1 + a2 * w2, -np.inf), (a1, a2)
 
 
-def brute_force_batch(points: list[LambdaPoint], p: float, budget: SearchBudget) -> list[BruteForceResult]:
-    """Maximize the payoff over 3-atom step pairs whose moments equal each point.
+def _far_end(x, t1, lo, hi, p):
+    """Far end in [lo, hi] of the chord from t1 through x: the root of det(v(t1), x, v(t)).
 
-    On a face of the cone (as ``contains`` classifies it) the only pairs
-    are collinear, and the one-atom collinear pair is returned with no
-    search.  Interior points are searched together, each at x / max(x) by
-    degree-1 homogeneity, in chunks of at most ``BATCH_ROWS`` rows (whole
-    queries, one row per restart).  Each restart draws atom values that mix
-    independent, collinear, antipodal and mirror-image pairs (queries with
-    symmetric moments have swap-symmetric extremizers, so mirrored pairs
-    need to be reachable); the pattern search moves the values only, and
-    the weights come from an exact 3x3 solve, checked for sign and for
-    moments within ``MOMENT_RTOL``.  ``residual`` is the distance of the
-    witness's moments m from x; its payoff is at most V(m), so it exceeds
-    the value V(x) by at most the gradient of V times m - x.  Every
-    searched witness's moments are checked against x (``_meets``).  The
-    first point in input order that lies outside the cone raises
-    ``InfeasibleError``, the first interior point no restart reaches a
-    feasible pair for raises ``NoFeasiblePairError``, one whose witness
-    overflows float64 when scaled back to it raises ``NonFiniteError``, and
-    a witness whose moments miss x by more than rounding raises
+    The boundary winds once around x in the direction of t, so on (t1, t1 + 3)
+    the determinant is negative up to the far end and positive after it.
+    False position with the Illinois step, clamped into the bracket.  At t1
+    and t1 + 3, where it is 0 up to rounding, an end takes minus the other
+    end's value, so the first step bisects; elsewhere an end at 0 or on the
+    wrong side is the root (a neighbour's far end brackets it up to
+    rounding).  A row stops once its step lands on an end or hits 0.
+    """
+    normal = _cross(_hexagon(t1, p)[2], x)
+    flo, fhi = _dot(normal, _hexagon(lo, p)[2]), _dot(normal, _hexagon(hi, p)[2])
+    flo = np.where(lo == t1, -fhi, flo)
+    fhi = np.where(hi == t1 + 3.0, -flo, fhi)
+    done, t = (flo >= 0.0) | (fhi <= 0.0), np.where(fhi <= 0.0, hi, lo)
+    kept = np.zeros(np.shape(t))  # -1 after lo moved, 1 after hi moved
+    for _ in range(ROOT_STEPS):
+        t = np.where(done, t, np.fmin(np.fmax(lo + (hi - lo) * (flo / (flo - fhi)), lo), hi))
+        ft = _dot(normal, _hexagon(t, p)[2])
+        done |= (t == lo) | (t == hi) | (ft == 0.0)
+        if done.all():
+            break
+        left = ft < 0.0
+        fhi, flo = np.where(left & (kept < 0.0), 0.5 * fhi, fhi), np.where(~left & (kept > 0.0), 0.5 * flo, flo)
+        lo, flo = np.where(left, t, lo), np.where(left, ft, flo)
+        hi, fhi = np.where(left, hi, t), np.where(left, fhi, ft)
+        kept = np.where(left, -1.0, 1.0)
+    return t
+
+
+def _scan(x, p):
+    """Far end and payoff of the chord through x from each scan point t_j = j / SCAN_PER_SIDE.
+
+    The far end's cell comes from bisecting the signs of ``_far_end``'s
+    determinant at the scan points after t_j (t_j negative, t_j + 3 positive).
+    """
+    n = 3 * SCAN_PER_SIDE
+    x, t = x[:, None], np.arange(n) / SCAN_PER_SIDE
+    v = _hexagon(t, p)[2]
+    normal = _cross(v, x)
+    lo, hi = np.zeros(n, dtype=int), np.full(n, n)
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        left = (mid == 0) | (_dot(normal, v[:, (np.arange(n) + mid) % n]) < 0.0)
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    far = _far_end(x, t, t + lo / SCAN_PER_SIDE, t + hi / SCAN_PER_SIDE, p)
+    return far, _chord(x, t, far, p)[0]
+
+
+def _zoom(x, a, b, ra, rb, p):
+    """Best chord through x with first end in each peak's [a, b]: payoff and ends, by ``ZOOM_ROUNDS`` rounds.
+
+    ``ra``, ``rb`` are the far ends of a and b.  A round scores ``ZOOM``
+    evenly spaced first ends and keeps the best one's neighbours; far ends
+    move with first ends, so all lie in [ra, rb].
+    """
+    rows, x = np.arange(len(a)), x[:, None, None]
+    for _ in range(ZOOM_ROUNDS):
+        t1 = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, ZOOM)
+        far = _far_end(x, t1, np.maximum(ra[:, None], t1), np.minimum(rb[:, None], t1 + 3.0), p)
+        score = _chord(x, t1, far, p)[0]
+        k = np.argmax(score, axis=1)
+        a, b = t1[rows, np.maximum(k - 1, 0)], t1[rows, np.minimum(k + 1, ZOOM - 1)]
+        ra, rb = far[rows, np.maximum(k - 1, 0)], far[rows, np.minimum(k + 1, ZOOM - 1)]
+    return score[rows, k], t1[rows, k], far[rows, k]
+
+
+def brute_force_batch(points: list[LambdaPoint], p: float) -> list[BruteForceResult]:
+    """Maximize the payoff over two-atom step pairs whose moments equal each point.
+
+    On a face of the cone (as ``contains`` classifies it) the only pairs are
+    collinear, and the one-atom pair is returned with no search.  An interior
+    point is searched at x / max(x) by degree-1 homogeneity: a pair is a chord
+    through x between two atoms' moment vectors, and its first end on the
+    hexagon of atom values fixes the rest.  The first end is scanned, and the
+    ``PEAKS`` best local maxima of the payoff are zoomed in on, one point at a
+    time.  ``residual`` is the distance of the witness's moments m from x;
+    its payoff is at most V(m), so it exceeds V(x) by at most the gradient of
+    V times m - x.  The first point in input order outside the cone raises
+    ``InfeasibleError``, one whose witness overflows float64 when scaled back
+    ``NonFiniteError``, and one no chord meets, or whose witness misses it,
     ``WitnessError``.
     """
     p = check_exponent(p)
     targets = [x.as_array() for x in points]
     faces = [contains(x, p) for x in points]
     outside = next((i for i, face in enumerate(faces) if face is BoundaryFace.OUTSIDE), len(points))
-    interior = [i for i in range(outside) if faces[i] is BoundaryFace.INTERIOR]
-    atoms = dict(zip(interior, _search([targets[i] for i in interior], p, budget)))
+    found = {i: _search(targets[i], p) for i in range(outside) if faces[i] is BoundaryFace.INTERIOR}
     if outside < len(points):
         raise InfeasibleError(f"{points[outside]} lies outside the cone")
     results = []
     for i, (target, face) in enumerate(zip(targets, faces)):
         if face.on_boundary:
             u1, u2, _ = (float(u) for u in target ** (1.0 / p))
-            atoms[i] = ((1.0, u1, -u2 if face is BoundaryFace.FACE3 else u2),)
-        witness = StepPair(atoms[i])
+            witness = StepPair(((1.0, u1, -u2 if face is BoundaryFace.FACE3 else u2),))
+            found[i] = payoff(witness, p), witness
+        value, witness = found[i]
         m = moment(witness, p).as_array()
-        # a face's one-atom pair meets x only up to the face classification
-        if face is BoundaryFace.INTERIOR and not _meets(m, target, p):
-            raise WitnessError(f"the witness found for {target.tolist()} has moments {m.tolist()}"
-                               f" at p={p!r}, off by more than rounding")
-        results.append(BruteForceResult(payoff(witness, p), witness, math.hypot(*(m - target))))
+        # measured as in the search, which leaves p MOMENT_RTOL; the scale-back
+        # by c = (max(x) (a1 + a2))^(1/p) adds rounding that p and |log max(x)|
+        # multiply; both capped.  A face's one-atom pair meets x only up to the
+        # face test
+        if face is BoundaryFace.INTERIOR:
+            rtol = 2.0 * min(MOMENT_RTOL * (p + abs(math.log(target.max()))), MOMENT_RTOL_MAX)
+            if not (np.abs(m - target) / np.maximum(target, target[:2].max()) <= rtol).all():
+                raise WitnessError(f"the witness found for {target.tolist()} has moments {m.tolist()}"
+                                   f" at p={p!r}, off by more than rounding")
+        results.append(BruteForceResult(value, witness, math.hypot(*(m - target))))
     return results
 
 
-def _meets(m, target, p):
-    """Whether a searched witness's moments m equal x up to rounding.
-
-    Each moment is measured as in the solve, relative to itself or to
-    max(x1, x2).  The solve leaves ``MOMENT_RTOL``.  Scaling back from
-    max(x) = 1 by c^p, c = exp((log max(x) + log W - log top) / p), rounds c
-    and the atom values, each by a unit that the p-th power multiplies by
-    p, and the logs, whose rounding grows with |log max(x)|.
-    """
-    rtol = 2.0 * MOMENT_RTOL * (p + abs(math.log(target.max())))
-    return bool((np.abs(m - target) <= rtol * np.maximum(target, target[:2].max())).all())
-
-
-def brute_force_bellman(x: LambdaPoint, p: float, budget: SearchBudget) -> BruteForceResult:
+def brute_force_bellman(x: LambdaPoint, p: float) -> BruteForceResult:
     """``brute_force_batch`` at the single point ``x``."""
-    return brute_force_batch([x], p, budget)[0]
+    return brute_force_batch([x], p)[0]
 
 
-def _start_values(budget):
-    """One row of atom values (f_0..f_2, g_0..g_2) per restart, from its own stream."""
-    vals = np.empty((budget.restarts, 2 * ATOM_COUNT))
-    f, g = vals[:, :ATOM_COUNT], vals[:, ATOM_COUNT:]
-    for i in range(budget.restarts):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((budget.seed, i))))
-        f[i] = rng.uniform(-2.0, 2.0, ATOM_COUNT)
-        style = rng.integers(0, 4, ATOM_COUNT)
-        # three antipodal atoms share one moment ray: no single move then
-        # makes the 3x3 system regular again
-        style[-1] = min(style[-1], 2)
-        indep = rng.uniform(-2.0, 2.0, ATOM_COUNT)
-        shift = f[i] - rng.uniform(-1.0, 1.0, ATOM_COUNT)
-        g[i] = np.where(style <= 1, indep, np.where(style == 2, shift, -f[i]))
-        if rng.random() < 0.5:  # mirror a pair of atoms: (f,g) and (g,f)
-            f[i, 1], g[i, 1] = g[i, 0], f[i, 0]
-    return vals
+def _search(target, p):
+    """Payoff and witness of the best chord found through the interior point ``target``."""
+    x, n = target / target.max(), 3 * SCAN_PER_SIDE
+    with np.errstate(all="ignore"):  # a degenerate chord scores -inf
+        far, score = _scan(x, p)
+        # peak k zooms in on the first ends [t_(k-1), t_(k+1)], k = 0 taken as n;
+        # the first round scores t_k itself, and each keeps its best to an ulp
+        peak = np.flatnonzero((score >= np.roll(score, 1)) & (score > np.roll(score, -1)))
+        k = np.where(peak == 0, n, peak)[np.argsort(-score[peak], kind="stable")[:PEAKS]]
+        ends = np.concatenate((far, far[:2] + 3.0))
+        zoomed = _zoom(x, (k - 1) / SCAN_PER_SIDE, (k + 1) / SCAN_PER_SIDE, ends[k - 1], ends[k + 1], p)
+        best = max(zip(*zoomed), default=(-np.inf, 0.0, 0.0), key=lambda chord: chord[0])
+        return _witness(target, best[1], best[2], p)
 
 
-def _search(targets, p, budget):
-    """Atoms of the best feasible pair found for each interior query, in order."""
-    if not targets:
-        return []
-    starts = _start_values(budget)
-    polls = max(1, 2 * budget.local_steps // POLL_TRIALS)
-    chunk = max(1, BATCH_ROWS // budget.restarts)
-    found = []
-    for lo in range(0, len(targets), chunk):
-        part = np.array(targets[lo:lo + chunk])
-        x = np.repeat((part / part.max(axis=1, keepdims=True)).T, budget.restarts, axis=1)
-        vals = np.tile(starts.T, len(part))
-        f, g = vals[:ATOM_COUNT], vals[ATOM_COUNT:]
-        with np.errstate(all="ignore"):  # overflow and singular solves score as infeasible
-            f, g, a, score = _pattern_search(f, g, x, p, polls)
-        for q, target in enumerate(part):
-            cols = slice(q * budget.restarts, (q + 1) * budget.restarts)
-            found.append(_witness_atoms(target, f[:, cols], g[:, cols], a[:, cols], score[cols], p, budget))
-    return found
-
-
-def _witness_atoms(target, f, g, a, score, p, budget):
-    """Unit-mass atoms of the best of one query's restarts (columns), scaled back to ``target``."""
-    best = int(np.argmax(score))
-    if not score[best] >= 0.0:
-        raise NoFeasiblePairError(f"no restart reached a step pair with moments {target.tolist()}"
-                                  f" in {budget.local_steps} steps; raise the restarts or steps")
-    f, g, a = f[:, best], g[:, best], a[:, best]
-    # scale each atom to largest moment 1 (its weight takes the factor), then
-    # the pair to unit mass and x: no witness moment then exceeds 3 max(x).
-    # Each atom's scale c = (max(x) W / top)^(1/p) is taken in logs: an atom
-    # far out on its scale direction makes that ratio under- or overflow
-    # where c itself does not
-    top = _atom_terms(f, g, p)[0].max(axis=0)
-    w = a * top
-    with np.errstate(all="ignore"):
-        c = np.exp((math.log(target.max()) + math.log(w.sum()) - np.log(top)) / p)
-        f, g = f * c, g * c
-        finite = np.isfinite(_atom_terms(f, g, p)[0]).all()
-    if not finite:
+def _witness(target, t1, t2, p):
+    """Payoff and unit-mass pair of the chord from t1 to t2 through x / max(x), scaled back to x."""
+    ends = np.array([t1, t2])
+    score, (a1, a2) = _chord((target / target.max())[:, None], ends[:1], ends[1:], p)
+    if not score[0] >= 0.0:
+        raise WitnessError(f"no chord through {target.tolist()} meets its moments to rounding at p={p!r}")
+    mass = a1[0] + a2[0]
+    c = (target.max() * mass) ** (1.0 / p)
+    f, g = (c * u for u in _hexagon(ends, p)[:2])
+    if not np.isfinite(_atom_terms(f, g, p)[0]).all():
         raise NonFiniteError(f"scaling the witness for {target.tolist()} back from max(x) = 1"
                              f" overflows float64 at p={p!r}")
-    return tuple(zip((w / w.sum()).tolist(), f.tolist(), g.tolist()))
+    atoms = zip([float(a1[0] / mass), float(a2[0] / mass)], f.tolist(), g.tolist())
+    return float(target.max() * score[0]), StepPair(tuple(atoms))
 
 
 def format_witness(x: LambdaPoint, p: float, result: BruteForceResult) -> str:

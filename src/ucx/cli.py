@@ -7,7 +7,7 @@ brute-force columns), and ``bruteforce`` (a single search probe).
 
 Exit codes: 0 success, 1 a mathematical verification failed, 2 usage error.
 Floats are printed with shortest round-trip repr, so identical command
-lines (including seeds) produce byte-identical output.
+lines (including ``verify --seed``) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -119,12 +119,11 @@ def cmd_envelope(args) -> int:
     if over:
         raise UsageError(f"x3 = i 2**p / (grid-n - 1) overflows at p={p!r} for the slice rows i >= {over[0]}")
     grid = envelope.sample_boundary(p, args.n_per_face)
-    budget = bellman.SearchBudget(args.restarts, args.local_steps, args.seed)
     rows = [
         {"x3": point.x3, "envelope": envelope.concavify(grid, point).result, "certificate": cert.value(point)}
         for point in points
     ]
-    for row, found in zip(rows, bellman.brute_force_batch(points, p, budget)):
+    for row, found in zip(rows, bellman.brute_force_batch(points, p)):
         row["brute_force"] = found.value
     # the envelope and the search are both lower bounds up to rounding, so both
     # meet the certificate with a 1e-9 slack; SANDWICH_TOL is for the envelope's
@@ -151,15 +150,13 @@ def cmd_bruteforce(args) -> int:
     except ValueError as e:
         raise UsageError(f"malformed point {args.x!r}") from e
     x = LambdaPoint(*coords)
-    budget = bellman.SearchBudget(args.restarts, args.local_steps, args.seed)
-    result = bellman.brute_force_bellman(x, args.p, budget)
+    result = bellman.brute_force_bellman(x, args.p)
     _write_output(args.output, bellman.format_witness(x, args.p, result) + "\n")
     return 0
 
 
-#: the search budget per restart, in the units of ``bellman.SearchBudget``
-_LOCAL_STEPS_HELP = ("search budget per restart: this // 12 polls (at least one) of 24 weight solves,"
-                     " 2 x this many in all; a restart stops early once its steps reach the floor")
+#: help of the search options, parsed only so that old command lines still run
+_NO_EFFECT = "no effect: the two-atom search has no seed, restarts or step budget"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -199,18 +196,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="samples per face, tau = 1/2 shared, 2n - 1 in all")
     e.add_argument("--radius", type=float, default=None,
                    help="no effect: the envelope samples one compact section of the cone")
-    e.add_argument("--restarts", type=int, default=24)
-    e.add_argument("--local-steps", type=int, default=600, dest="local_steps", help=_LOCAL_STEPS_HELP)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--restarts", type=int, help=_NO_EFFECT)
+    e.add_argument("--local-steps", type=int, help=_NO_EFFECT)
+    e.add_argument("--seed", type=int, help=_NO_EFFECT)
     e.add_argument("--output", default="-")
     e.set_defaults(fn=cmd_envelope)
 
     b = sub.add_parser("bruteforce", help="search probe at one moment point")
     b.add_argument("--p", type=float, required=True)
     b.add_argument("--x", type=str, required=True, help="x1,x2,x3")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--restarts", type=int, default=200)
-    b.add_argument("--local-steps", type=int, default=2000, dest="local_steps", help=_LOCAL_STEPS_HELP)
+    b.add_argument("--seed", type=int, help=_NO_EFFECT)
+    b.add_argument("--restarts", type=int, help=_NO_EFFECT)
+    b.add_argument("--local-steps", type=int, help=_NO_EFFECT)
     b.add_argument("--output", default="-")
     b.set_defaults(fn=cmd_bruteforce)
     return parser

@@ -113,13 +113,13 @@ def concavify(grid: ObstacleGrid, x: LambdaPoint) -> EnvelopeQuery:
         raise DomainError(f"concavify answers queries with x1 == x2 only, got {x}")
     if x.x1 == x.x3 == 0.0:
         return EnvelopeQuery(0.0, ())
-    mass = 2.0 * x.x1
-    if not mass > 0.0:
+    if not x.x1 > 0.0:
         raise InfeasibleError(f"query {x} is outside the cone")
     sums = grid.points[:, 0] + grid.points[:, 1]
     r, h = grid.points[:, 2] / sums, grid.values / sums
     hull = _upper_hull(r, h)
-    rs, rq = r[hull], x.x3 / mass
+    # the mass 2 x1 is never formed: it overflows from x1 = 2**1023 on
+    rs, rq = r[hull], (0.5 * x.x3) / x.x1
     if not rs[0] <= rq <= rs[-1] * (1.0 + RAY_RTOL):
         raise InfeasibleError(f"query {x} is outside the sampled cone; densify the grid")
     k = min(int(np.searchsorted(rs, rq)), len(hull) - 1)
@@ -129,6 +129,6 @@ def concavify(grid: ObstacleGrid, x: LambdaPoint) -> EnvelopeQuery:
         lo, hi = hull[k - 1], hull[k]
         mu = (rq - r[lo]) / (r[hi] - r[lo])
         terms = ((lo, 1.0 - mu), (hi, mu))
-    value = mass * sum(m * h[i] for i, m in terms)
-    active = tuple((i, float(mass * m / sums[i])) for i, m in terms)
+    value = x.x1 * (2.0 * sum(m * h[i] for i, m in terms))
+    active = tuple((i, float(2.0 * (x.x1 * m / sums[i]))) for i, m in terms)
     return EnvelopeQuery(float(value), active)

@@ -22,9 +22,5 @@ class InfeasibleError(UcxError):
     """A query lies outside the cone or outside the sampled part of it."""
 
 
-class NoFeasiblePairError(UcxError):
-    """No restart of the step-pair search reached a pair with the query's moments."""
-
-
 class WitnessError(UcxError):
     """A search witness's moments miss its query point by more than rounding."""

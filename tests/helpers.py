@@ -159,6 +159,28 @@ def delta_mpmath(p, eps):
         return (lo + hi) / 2
 
 
+def hanner_value(x, p):
+    """The value function at an interior point x, at 50 digits: Hanner's (1956) inequality solved for it.
+
+    With u_i = x_i^(1/p): for p <= 2 it is m = y^p, y the root of
+    (2 y + u3)^p + |2 y - u3|^p = 2^p (x1 + x2), whose left side grows in
+    y >= 0 from 2 x3 and passes the right at y = (x1 + x2)^(1/p) at the
+    latest; for p >= 2 it is ((u1 + u2)^p + |u1 - u2|^p - x3) / 2^p.  The
+    root is taken at x / max(x), where the equation is O(1), to 1e-40, and
+    scaled back by degree-1 homogeneity.  A reference for the tests only: no
+    route computes from it.
+    """
+    with mpmath.workdps(50):
+        p, scale = mpmath.mpf(p), mpmath.mpf(float(max(x)))
+        x1, x2, x3 = (mpmath.mpf(float(c)) / scale for c in x)
+        u1, u2, u3 = (c ** (1 / p) for c in (x1, x2, x3))
+        if p >= 2:
+            return scale * ((u1 + u2) ** p + abs(u1 - u2) ** p - x3) / 2**p
+        y = mpmath.findroot(lambda y: (2 * y + u3) ** p + abs(2 * y - u3) ** p - 2**p * (x1 + x2),
+                            (mpmath.mpf(0), (x1 + x2) ** (1 / p)), solver="illinois", tol=mpmath.mpf(10) ** -40)
+        return scale * y**p
+
+
 @dataclass(frozen=True)
 class StepFunction:
     """One marginal of a step pair: atoms of (weight, value), floats or

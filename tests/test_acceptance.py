@@ -13,7 +13,7 @@ import pytest
 
 from anchors import DELTA_P15_E1, S_STAR_P15_E1
 from helpers import StepFunction, boundary_profile, hanner_gap, slice_lower_bound, slice_point
-from ucx.bellman import SearchBudget, brute_force_bellman, witness_test
+from ucx.bellman import brute_force_bellman, witness_test
 from ucx.certificates import certificate, sharpness_check, verify_appendix
 from ucx.cli import main as cli_main
 from ucx.domain import LambdaPoint
@@ -144,10 +144,9 @@ def test_criterion_5_sandwich_reconstruction():
         assert cv - 5e-3 <= env <= cv + 1e-9
 
         # brute force reaches the certificates at (1, 1, eps^p)
-        budget = SearchBudget(restarts=200, local_steps=2000, seed=7)
         for p, eps, cert in [(4.0, 1.0, cert4), (1.5, 1.0, cert15), (2.0, 1.0, certificate(2.0))]:
             x = LambdaPoint(1.0, 1.0, eps**p)
-            res = brute_force_bellman(x, p, budget)
+            res = brute_force_bellman(x, p)
             cv = cert.value(x)
             assert res.value >= cv - 1e-8, f"p={p}: bf={res.value} cert={cv}"
             assert res.value <= cv + 1e-8
@@ -192,13 +191,11 @@ def _capture_cli(argv):
 def test_criterion_8_determinism():
     commands = [
         # criterion-5 configurations driven through the CLI
-        ["envelope", "--p", "4", "--grid-n", "25", "--n-per-face", "60",
-         "--restarts", "32", "--local-steps", "600", "--seed", "7"],
-        ["envelope", "--p", "1.5", "--eps", "1", "--grid-n", "5", "--n-per-face", "60",
-         "--restarts", "32", "--local-steps", "600", "--seed", "7"],
-        ["bruteforce", "--p", "4", "--x", "1,1,1", "--seed", "7"],
-        ["bruteforce", "--p", "1.5", "--x", "1,1,1", "--seed", "7"],
-        ["bruteforce", "--p", "2", "--x", "1,1,1", "--seed", "7"],
+        ["envelope", "--p", "4", "--grid-n", "25", "--n-per-face", "60"],
+        ["envelope", "--p", "1.5", "--eps", "1", "--grid-n", "5", "--n-per-face", "60"],
+        ["bruteforce", "--p", "4", "--x", "1,1,1"],
+        ["bruteforce", "--p", "1.5", "--x", "1,1,1"],
+        ["bruteforce", "--p", "2", "--x", "1,1,1"],
         # criterion-7 configurations
         ["verify", "--p", "2", "--eps", "1", "--grid-n", "2001", "--trials", "10000", "--seed", "911"],
         ["verify", "--p", "4", "--eps", "1", "--grid-n", "2001", "--trials", "10000", "--seed", "911"],

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from anchors import HANNER_HALF_MASS_P15
-from helpers import PartitionMismatchError, StepFunction, boundary_value, hanner_gap
+from helpers import PartitionMismatchError, StepFunction, boundary_value, delta_mpmath, hanner_gap, hanner_value
 from ucx import bellman
 from ucx.bellman import (
+    ATOM_COUNT,
     MOMENT_RTOL,
-    SearchBudget,
     StepPair,
     brute_force_batch,
     brute_force_bellman,
@@ -18,11 +18,7 @@ from ucx.bellman import (
 from ucx.certificates import certificate
 from ucx.cli import main as cli_main
 from ucx.domain import BoundaryFace, LambdaPoint, contains
-from ucx.errors import DomainError, InfeasibleError, NoFeasiblePairError, NonFiniteError, WitnessError
-
-
-#: the budget of calls that run no search: points outside the cone or on a face
-NO_SEARCH = SearchBudget(1, 1, seed=0)
+from ucx.errors import DomainError, InfeasibleError, NonFiniteError, WitnessError
 
 
 def pair(*atoms):
@@ -171,21 +167,19 @@ class TestHanner:
 class TestBruteForce:
     def test_outside_rejected(self):
         with pytest.raises(InfeasibleError):
-            brute_force_bellman(LambdaPoint(1.0, 1.0, 100.0), 2.0, NO_SEARCH)
+            brute_force_bellman(LambdaPoint(1.0, 1.0, 100.0), 2.0)
 
     def test_apex(self):
-        res = brute_force_bellman(LambdaPoint(0.0, 0.0, 0.0), 2.0, NO_SEARCH)
+        res = brute_force_bellman(LambdaPoint(0.0, 0.0, 0.0), 2.0)
         assert res.value == 0.0 and res.residual == 0.0
 
     def test_antipodal_boundary_point_pins_value_to_zero(self):
-        # the documented probe budget; only collinear antipodal pairs are feasible
-        budget = SearchBudget(restarts=200, local_steps=2000, seed=3)
-        res = brute_force_bellman(LambdaPoint(1.0, 1.0, 8.0), 3.0, budget)
+        # only collinear antipodal pairs are feasible
+        res = brute_force_bellman(LambdaPoint(1.0, 1.0, 8.0), 3.0)
         assert res.value <= 1e-6
 
     def test_interior_point_reaches_certificate_p4(self):
-        budget = SearchBudget(restarts=64, local_steps=1200, seed=3)
-        res = brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 4.0, budget)
+        res = brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 4.0)
         assert res.residual <= 2.0 * MOMENT_RTOL * np.sqrt(3.0)
         assert 15.0 / 16.0 - 1e-10 <= res.value <= 15.0 / 16.0 + 1e-12
 
@@ -199,15 +193,15 @@ class TestBruteForce:
         for x3 in [0.0, 1e-6, top * (1.0 - 1e-6), top]:
             x = LambdaPoint(1.0, 1.0, x3)
             rounding = 2.0 * MOMENT_RTOL * np.maximum(x.as_array(), max(x.x1, x.x2))
-            res = brute_force_bellman(x, p, SearchBudget(24, 600, seed=0))
+            res = brute_force_bellman(x, p)
             assert (np.abs(moment(res.witness, p).as_array() - x.as_array()) <= rounding).all()
             assert res.value <= cert.value(x) + np.abs(cert.c) @ rounding + 1e-15
 
     @pytest.mark.parametrize("p", [1.25, 4.0])
     def test_faces_give_the_collinear_atom(self, p):
-        # no 3 atoms have full rank on a face: the one-atom pair is returned
+        # a face's pairs are collinear: the one-atom pair is returned
         for x3, value in [(0.0, 1.0), (2.0**p, 0.0)]:
-            res = brute_force_bellman(LambdaPoint(1.0, 1.0, x3), p, NO_SEARCH)
+            res = brute_force_bellman(LambdaPoint(1.0, 1.0, x3), p)
             assert len(res.witness.atoms) == 1
             assert res.value == value and res.residual == 0.0
         faces = [(2.0**p, 1.0, 1.0), (1.0, 2.0**p, 1.0), (1.0, 2.0**p, 3.0**p)]
@@ -215,40 +209,33 @@ class TestBruteForce:
             BoundaryFace.FACE1, BoundaryFace.FACE2, BoundaryFace.FACE3]
         for coords in faces:
             x = LambdaPoint(*coords)
-            res = brute_force_bellman(x, p, NO_SEARCH)
+            res = brute_force_bellman(x, p)
             assert len(res.witness.atoms) == 1
             assert res.value == pytest.approx(boundary_value(x, p), rel=1e-14)
             assert res.residual <= 1e-15 * np.linalg.norm(x.as_array())
         # within the face tolerance of face 3: the one-atom pair is returned
         # as it is, its moments off x by that tolerance, not by rounding
         x = LambdaPoint(1.0, 1.0, 2.0**p * (1.0 - 1e-11))
-        res = brute_force_bellman(x, p, NO_SEARCH)
+        res = brute_force_bellman(x, p)
         assert len(res.witness.atoms) == 1 and res.value == 0.0
         assert 0.0 < res.residual <= 1e-10 * x.x3
-
-    def test_tiny_budget_without_feasible_pair_raises(self):
-        # one restart and one poll: seed 2's restart reaches no pair at (1, 1, 1)
-        with pytest.raises(NoFeasiblePairError):
-            brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 3.0, SearchBudget(1, 1, seed=2))
 
     def test_extreme_query_scales(self):
         # the search runs at x / max(x): the cross products of moments of
         # size 1e-200 or 1e200 would under- or overflow
-        budget = SearchBudget(8, 200, seed=0)
-        unit = brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 1.5, budget)
+        unit = brute_force_bellman(LambdaPoint(1.0, 1.0, 1.0), 1.5)
         for s in [1e-200, 1e200]:
-            res = brute_force_bellman(LambdaPoint(s, s, s), 1.5, budget)
+            res = brute_force_bellman(LambdaPoint(s, s, s), 1.5)
             assert res.value == pytest.approx(s * unit.value, rel=1e-13)
-            # the unit-mass rescale by s**(1/p) is off by about |log s| ulps
+            # the unit-mass rescale by (s (a1 + a2))**(1/p) rounds the atom values
             assert res.residual <= 1e-12 * s
 
     @pytest.mark.parametrize("p", [50.0, 400.0])
     def test_witness_scale_in_logs(self, p):
-        # at x = 1e-300 the ratio c**p = max(x) W / top is below the normal
-        # floats, but the atom scale c, taken in logs, is not
-        budget = SearchBudget(24, 600, seed=0)
+        # at x = 1e-300 the atom scale c = (max(x) (a1 + a2))**(1/p) is a
+        # normal float: each hexagon atom has largest moment 1
         for s in [1.0, 1e-100, 1e-200, 1e-300]:
-            res = brute_force_bellman(LambdaPoint(s, s, s), p, budget)
+            res = brute_force_bellman(LambdaPoint(s, s, s), p)
             assert res.residual <= 1e-12 * s
             # the value at (1, 1, 1) is 1 - 2^-p for p >= 2
             assert abs(res.value - s * (1.0 - 2.0**-p)) <= 1e-11 * s
@@ -258,27 +245,27 @@ class TestBruteForce:
         # float64 here once its moments exceed x anywhere
         x = LambdaPoint(1.7e308, 1.7e308, 1.7e308)
         with pytest.raises(NonFiniteError, match="overflows"):
-            brute_force_bellman(x, 2.0, SearchBudget(8, 200, seed=0))
+            brute_force_bellman(x, 2.0)
 
     def test_witness_moments_are_checked(self, monkeypatch):
         # a witness whose moments miss x by more than rounding is an error,
         # not a lower bound: move 1e-9 of weight between two atoms
-        atoms_of = bellman._witness_atoms
+        atoms_of = bellman._witness
 
         def perturbed(*args):
-            (a0, f0, g0), (a1, f1, g1), *rest = atoms_of(*args)
-            return ((a0 - 1e-9, f0, g0), (a1 + 1e-9, f1, g1), *rest)
+            value, pair = atoms_of(*args)
+            (a0, f0, g0), (a1, f1, g1) = pair.atoms
+            return value, StepPair(((a0 - 1e-9, f0, g0), (a1 + 1e-9, f1, g1)))
 
-        x, budget = LambdaPoint(1.0, 1.0, 1.0), SearchBudget(8, 200, seed=0)
-        assert brute_force_bellman(x, 3.0, budget).residual <= 1e-14
-        monkeypatch.setattr(bellman, "_witness_atoms", perturbed)
+        x = LambdaPoint(1.0, 1.0, 1.0)
+        assert brute_force_bellman(x, 3.0).residual <= 1e-14
+        monkeypatch.setattr(bellman, "_witness", perturbed)
         with pytest.raises(WitnessError, match="off by more than rounding"):
-            brute_force_bellman(x, 3.0, budget)
+            brute_force_bellman(x, 3.0)
 
     def test_witness_consistent_with_reported_value(self):
-        budget = SearchBudget(restarts=16, local_steps=400, seed=8)
         x = LambdaPoint(1.0, 1.0, 1.0)
-        res = brute_force_bellman(x, 2.0, budget)
+        res = brute_force_bellman(x, 2.0)
         assert payoff(res.witness, 2.0) == pytest.approx(res.value, rel=1e-12)
         m = moment(res.witness, 2.0)
         assert np.linalg.norm(m.as_array() - x.as_array()) == pytest.approx(
@@ -286,39 +273,35 @@ class TestBruteForce:
         )
 
     def test_deterministic_bit_for_bit(self):
-        budget = SearchBudget(restarts=16, local_steps=300, seed=12345)
         x = LambdaPoint(1.0, 1.0, 1.0)
-        a = brute_force_bellman(x, 1.5, budget)
-        b = brute_force_bellman(x, 1.5, budget)
+        a = brute_force_bellman(x, 1.5)
+        b = brute_force_bellman(x, 1.5)
         assert a.value == b.value and a.residual == b.residual
         assert a.witness == b.witness
 
     def test_lower_bound_against_certificates(self):
-        budget = SearchBudget(restarts=24, local_steps=500, seed=1)
         for p, cert in [(4.0, certificate(4.0)), (1.5, certificate(1.5, 1.0))]:
             for x3 in [0.5, 1.0, 2.0]:
                 x = LambdaPoint(1.0, 1.0, x3)
-                res = brute_force_bellman(x, p, budget)
+                res = brute_force_bellman(x, p)
                 # certified domination holds at the witness's actual moments
                 m = moment(res.witness, p)
                 assert res.value <= cert.value(m) + 1e-9
 
     def test_scaling_lower_bound(self):
-        budget = SearchBudget(restarts=32, local_steps=600, seed=5)
         x = LambdaPoint(1.0, 1.0, 1.0)
-        base = brute_force_bellman(x, 1.5, budget)
+        base = brute_force_bellman(x, 1.5)
         for lam in [0.5, 2.0]:
-            scaled = brute_force_bellman(LambdaPoint(lam, lam, lam), 1.5, budget)
+            scaled = brute_force_bellman(LambdaPoint(lam, lam, lam), 1.5)
             assert scaled.value >= lam * base.value - 5e-2 * lam
 
     def test_format_witness_layout(self):
-        budget = SearchBudget(restarts=4, local_steps=50, seed=0)
         x = LambdaPoint(1.0, 1.0, 1.0)
-        res = brute_force_bellman(x, 2.0, budget)
+        res = brute_force_bellman(x, 2.0)
         text = format_witness(x, 2.0, res)
         lines = text.splitlines()
         assert lines[0].startswith("x=1.0,1.0,1.0 p=2.0 theta=0.5 value=")
-        assert len(lines) == 4
+        assert len(lines) == 1 + ATOM_COUNT
         assert all(line.startswith("w=") and " f=" in line and " g=" in line for line in lines[1:])
 
 
@@ -331,121 +314,147 @@ def same_result(a, b):
     return a.value == b.value and a.residual == b.residual and a.witness == b.witness
 
 
-def spy_batches(monkeypatch):
-    """Record the (trials per row, rows) of every weight solve of the pattern search."""
-    sizes, solve = [], bellman._solve_weights
+def spy_scans(monkeypatch):
+    """Record the query of every scan of the search."""
+    queries, scan = [], bellman._scan
 
-    def spy(*args):
-        weights, score = solve(*args)
-        sizes.append((score.size // score.shape[-1], score.shape[-1]))
-        return weights, score
+    def spy(x, p):
+        queries.append(x.tolist())
+        return scan(x, p)
 
-    monkeypatch.setattr(bellman, "_solve_weights", spy)
-    return sizes
+    monkeypatch.setattr(bellman, "_scan", spy)
+    return queries
 
 
 class TestBatch:
-    """One pattern search over all interior queries, equal to one search per query."""
+    """One search over all interior queries, equal to one search per query."""
 
     @pytest.mark.parametrize("p", [1.25, 1.5, 4.0])
     def test_batch_equals_one_call_per_point(self, p):
         points = slice_rows(p, 7)
-        budget = SearchBudget(restarts=16, local_steps=400, seed=3)
-        batch = brute_force_batch(points, p, budget)
+        batch = brute_force_batch(points, p)
         assert len(batch) == len(points)
         for x, res in zip(points, batch):
-            assert same_result(res, brute_force_bellman(x, p, budget))
+            assert same_result(res, brute_force_bellman(x, p))
         assert len(batch[0].witness.atoms) == len(batch[-1].witness.atoms) == 1
 
     def test_empty_batch(self):
-        assert brute_force_batch([], 2.0, NO_SEARCH) == []
+        assert brute_force_batch([], 2.0) == []
 
     def test_all_face_batch_runs_no_search(self, monkeypatch, capsys):
-        sizes = spy_batches(monkeypatch)
-        res = brute_force_batch(slice_rows(2.5, 2), 2.5, NO_SEARCH)
+        queries = spy_scans(monkeypatch)
+        res = brute_force_batch(slice_rows(2.5, 2), 2.5)
         assert [r.value for r in res] == [1.0, 0.0]
         assert all(len(r.witness.atoms) == 1 for r in res)
         assert cli_main(["envelope", "--p", "2.5", "--grid-n", "2"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
-        assert sizes == []
+        assert queries == []
 
     def test_mixed_face_and_interior(self):
-        p, budget = 3.0, SearchBudget(restarts=8, local_steps=300, seed=1)
+        p = 3.0
         points = [LambdaPoint(1.0, 1.0, 1.0), LambdaPoint(2.0**p, 1.0, 1.0), LambdaPoint(1.0, 1.0, 0.0),
                   LambdaPoint(0.5, 1.0, 2.0), LambdaPoint(1.0, 2.0**p, 3.0**p)]
-        batch = brute_force_batch(points, p, budget)
-        assert [len(r.witness.atoms) for r in batch] == [3, 1, 1, 3, 1]
+        batch = brute_force_batch(points, p)
+        assert [len(r.witness.atoms) for r in batch] == [2, 1, 1, 2, 1]
         for x, res in zip(points, batch):
-            assert same_result(res, brute_force_bellman(x, p, budget))
-
-    def test_queries_stop_at_different_steps(self, monkeypatch):
-        p, budget = 1.5, SearchBudget(restarts=8, local_steps=1500, seed=2)
-        points = slice_rows(p, 7)[1:-1]
-        sizes = spy_batches(monkeypatch)
-        batch = brute_force_batch(points, p, budget)
-        rows = [r for _, r in sizes]
-        # the batch shrinks as rows stop, each on its own, not query by query
-        assert rows == sorted(rows, reverse=True) and len(set(rows)) >= 3
-        assert rows[0] == 5 * 8 and any(r % 8 for r in rows)
-        assert sizes[0][0] == 1 and all(t == bellman.POLL_TRIALS for t, _ in sizes[1:])
-        for x, res in zip(points, batch):
-            assert same_result(res, brute_force_bellman(x, p, budget))
-
-    @pytest.mark.parametrize("limit", [1, 17, 40])
-    def test_chunks_of_whole_queries(self, monkeypatch, limit):
-        # BATCH_ROWS below one query's restarts still searches one query at a time
-        p, budget = 4.0, SearchBudget(restarts=8, local_steps=200, seed=0)
-        points = slice_rows(p, 9)
-        whole = brute_force_batch(points, p, budget)
-        monkeypatch.setattr(bellman, "BATCH_ROWS", limit)
-        sizes = spy_batches(monkeypatch)
-        chunked = brute_force_batch(points, p, budget)
-        assert max(rows for _, rows in sizes) == max(8, limit // 8 * 8)
-        assert all(same_result(a, b) for a, b in zip(whole, chunked))
+            assert same_result(res, brute_force_bellman(x, p))
 
     def test_first_query_without_feasible_pair_in_input_order(self, capsys):
-        # one restart and one poll: rows 1-3 of this slice reach a pair, rows 4-7 do not
-        p, budget = 3.0, SearchBudget(restarts=1, local_steps=1, seed=5)
-        points = slice_rows(p, 9)
-        assert all(r.value >= 0.0 for r in brute_force_batch(points[:4], p, budget))
-        for order, named in [(points, 4.0), ([points[7], points[1], points[5]], 7.0)]:
-            with pytest.raises(NoFeasiblePairError, match=rf"\[1\.0, 1\.0, {named}\]"):
-                brute_force_batch(order, p, budget)
-        outside = LambdaPoint(1.0, 1.0, 100.0)
-        with pytest.raises(NoFeasiblePairError):
-            brute_force_batch([points[5], outside], p, budget)
-        with pytest.raises(InfeasibleError):
-            brute_force_batch([points[1], outside, points[5]], p, budget)
-        argv = ["envelope", "--p", "3", "--grid-n", "9", "--restarts", "1", "--local-steps", "1",
-                "--seed", "5"]
-        assert cli_main(argv) == 2
+        # no step pair has moments outside the cone; the first such query in
+        # input order is the one named, whatever else the batch holds
+        p = 3.0
+        points, outside = slice_rows(p, 9), [LambdaPoint(1.0, 1.0, 100.0), LambdaPoint(1.0, 9.0, 1.0)]
+        for order, named in [(points[:3] + outside, "x2=1.0, x3=100.0"), (outside[::-1] + points, "x2=9.0")]:
+            with pytest.raises(InfeasibleError, match=named):
+                brute_force_batch(order, p)
+        assert cli_main(["bruteforce", "--p", "3", "--x", "1,9,1"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1 and "[1.0, 1.0, 4.0]" in err
+        assert out == "" and len(err.splitlines()) == 1 and "x2=9.0" in err
+
+    def test_work_stays_within_the_budget(self, monkeypatch):
+        # a fixed budget of chords per query: one per scan point, then at most
+        # ZOOM per round of each of the PEAKS peaks, and one for the witness
+        p = 4.0
+        points = slice_rows(p, 25)[1:-1]
+        chords, chord = [], bellman._chord
+
+        def spy(x, t1, t2, p):
+            chords.append(np.size(t1))
+            return chord(x, t1, t2, p)
+
+        monkeypatch.setattr(bellman, "_chord", spy)
+        brute_force_batch(points, p)
+        budget = 3 * bellman.SCAN_PER_SIDE + bellman.PEAKS * bellman.ZOOM * bellman.ZOOM_ROUNDS + 1
+        assert 0 < sum(chords) <= len(points) * budget
 
     def test_slice_reaches_the_two_atom_optimum(self):
         # the slice of the p = 4 envelope benchmark: the value is 1 - x3/2^p,
-        # carried by a near-equal atom and an antipodal one; moves of one
-        # value at a time stalled 2.4e-7 below it
-        p, budget = 4.0, SearchBudget(restarts=32, local_steps=600, seed=0)
+        # carried by the atom (1, 1) and an antipodal one
+        p = 4.0
         points = slice_rows(p, 25)
-        for x, res in zip(points, brute_force_batch(points, p, budget)):
-            assert abs(res.value - (1.0 - x.x3 / 16.0)) <= 1e-12
+        for x, res in zip(points, brute_force_batch(points, p)):
+            assert abs(res.value - (1.0 - x.x3 / 16.0)) <= 1e-14
 
-    def test_work_stays_within_the_budget(self, monkeypatch):
-        # the same slice, counted: one solve per row for its start, then at most
-        # local_steps // 12 polls of 24 trials, 2 local_steps per row
-        p, budget = 4.0, SearchBudget(restarts=32, local_steps=600, seed=0)
-        points = slice_rows(p, 25)[1:-1]
-        sizes = spy_batches(monkeypatch)
-        brute_force_batch(points, p, budget)
-        starts = [i for i, (trials, _) in enumerate(sizes) if trials == 1]
-        assert sum(sizes[i][1] for i in starts) == len(points) * budget.restarts
-        polls = [sizes[a + 1:b] for a, b in zip(starts, starts[1:] + [len(sizes)])]
-        assert all(len(chunk) <= budget.local_steps // 12 for chunk in polls)
-        trials = sum(t * rows for chunk in polls for t, rows in chunk)
-        assert trials <= 2 * budget.local_steps * len(points) * budget.restarts
-        # rows retire on their own before the last poll
-        assert any(chunk[-1][1] < chunk[0][1] for chunk in polls)
+
+class TestExact:
+    """The search meets the value function in closed form (Hanner 1956)."""
+
+    def test_meets_hanners_value_off_the_plane(self):
+        # random interior points with x1 != x2, a third of them within 1e-3
+        # of a face (a gap of 1e-6 to 1e-3 in one triangle inequality of the
+        # p-th roots), at 14 exponents on both sides of 2 down to p = 1.02,
+        # where the best chord's peak is narrow
+        rng = np.random.default_rng(22)
+        exponents = np.concatenate([rng.uniform(1.02, 1.1, 3), rng.uniform(1.1, 2.0, 4), rng.uniform(2.0, 8.0, 7)])
+        count = 0
+        for p in exponents:
+            points = []
+            while len(points) < 15:
+                if len(points) % 3:
+                    w = rng.dirichlet(np.ones(3))
+                    f, g = rng.uniform(-1.0, 1.0, (2, 3))
+                    x = [w @ np.abs(f) ** p, w @ np.abs(g) ** p, w @ np.abs(f - g) ** p]
+                else:
+                    u = rng.uniform(0.2, 1.0, 2)
+                    roots = np.roll([u[0], u[1], (u[0] + u[1]) * (1.0 - 10.0 ** rng.uniform(-6.0, -3.0))],
+                                    rng.integers(3))
+                    x = list(roots**p)
+                point = LambdaPoint(*x)
+                if x[0] != x[1] and contains(point, p) is BoundaryFace.INTERIOR:
+                    points.append(point)
+            for x, res in zip(points, brute_force_batch(points, p)):
+                # the payoff is at most the value at the witness's moments m,
+                # which differ from x by rounding; near a face at p near 1 the
+                # value's gradient is in the tens, which makes that 1e-14
+                tol = 1e-14 * max(x.as_array())
+                m = moment(res.witness, p).as_array()
+                assert hanner_value(x.as_array(), p) - tol <= res.value <= hanner_value(m, p) + tol, (p, x)
+                count += 1
+        assert count >= 200
+
+    def test_short_chord_within_one_scan_cell(self):
+        # the best chord's ends lie 0.025 apart, and the far end of the scan
+        # point t = 2.5 lies in that point's own cell; the value's gradient
+        # is about 430 here, so above it is checked at the witness's moments
+        p, x = 1.0404580324449908, LambdaPoint(0.942928023810568, 0.9021608490754252, 1.8975396677255532)
+        res, tol = brute_force_bellman(x, p), 1e-14 * x.x3
+        m = moment(res.witness, p).as_array()
+        assert hanner_value(x.as_array(), p) - tol <= res.value <= hanner_value(m, p) + tol
+
+    def test_slice_rows_meet_hanners_value(self):
+        p = 4.0
+        for x, res in zip(slice_rows(p, 25), brute_force_batch(slice_rows(p, 25), p)):
+            assert abs(res.value - float(hanner_value(x.as_array(), p))) <= 1e-14
+
+    @pytest.mark.parametrize("p, i", [(1.5, 1), (1.75, 1), (1.75, 3), (3.0, 1), (4.0, 2),
+                                      (1.25, 2), (1.1, 1), (1.5, 2)])
+    def test_sharp_points_meet_the_value(self, p, i):
+        # row i of the 5-row slice, x3 = eps^p: the value there is (1 - delta)^p,
+        # which is 1 - x3/2^p for p >= 2
+        x3 = i * 2.0**p / 4
+        eps = 2.0 * (i / 4) ** (1.0 / p)
+        exact = float((1 - delta_mpmath(p, eps)) ** p) if p < 2.0 else 1.0 - x3 / 2.0**p
+        assert abs(brute_force_bellman(LambdaPoint(1.0, 1.0, x3), p).value - exact) <= 1e-14
 
 
 class TestWitnessSuite:

@@ -233,8 +233,7 @@ class TestVerify:
 class TestEnvelope:
     def test_p2_exact_line(self):
         code, out, err = run_cli(
-            ["envelope", "--p", "2", "--grid-n", "9", "--n-per-face", "12",
-             "--restarts", "8", "--local-steps", "200"]
+            ["envelope", "--p", "2", "--grid-n", "9", "--n-per-face", "12"]
         )
         assert code == 0, err
         rows = parse_csv(out)
@@ -245,8 +244,7 @@ class TestEnvelope:
 
     def test_p4_monotone_envelope(self):
         code, out, err = run_cli(
-            ["envelope", "--p", "4", "--grid-n", "9", "--n-per-face", "12",
-             "--restarts", "8", "--local-steps", "200"]
+            ["envelope", "--p", "4", "--grid-n", "9", "--n-per-face", "12"]
         )
         assert code == 0, err
         vals = [float(r["envelope"]) for r in parse_csv(out)]
@@ -254,8 +252,7 @@ class TestEnvelope:
 
     def test_p15_query_point(self):
         code, out, err = run_cli(
-            ["envelope", "--p", "1.5", "--eps", "1", "--grid-n", "5", "--n-per-face", "24",
-             "--restarts", "16", "--local-steps", "400"]
+            ["envelope", "--p", "1.5", "--eps", "1", "--grid-n", "5", "--n-per-face", "24"]
         )
         assert code == 0, err
         rows = parse_csv(out)
@@ -289,8 +286,8 @@ class TestEnvelope:
         assert got == pytest.approx(column, abs=1e-12)
 
     def test_p580_sandwich(self):
-        # the witness at x3 = 2^579 scales back from max(x) = 1 with c taken
-        # in logs; the search value stays at or below the value 1/2
+        # the witness at x3 = 2^579 scales back from max(x) = 1; the search
+        # value stays at or below the value 1/2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(["envelope", "--p", "580", "--grid-n", "3"])
@@ -307,13 +304,14 @@ class TestEnvelope:
         # the p < 2 certificate exists down to eps = 1e-300, where it is (x1 + x2)/2
         # up to c3 ~ -1e-151
         code, out, err = run_cli(["envelope", "--p", "1.5", "--eps", "1e-300", "--grid-n", "3",
-                                  "--n-per-face", "8", "--restarts", "2", "--local-steps", "20"])
+                                  "--n-per-face", "8"])
         assert code == 0 and err == ""
         assert float(parse_csv(out)[0]["certificate"]) == 1.0
 
     @pytest.mark.parametrize("argv", [
-        *(["--p", "1.25", "--eps", "0.66", "--seed", str(seed)] for seed in range(8)),
-        ["--p", "1.5", "--eps", "0.794", "--seed", "4"],
+        ["--p", p, "--eps", eps] for p, eps in [("1.05", "0.3"), ("1.1", "0.5"), ("1.25", "0.66"),
+                                                ("1.5", "0.794"), ("1.75", "1.2"), ("2", "1"), ("3", "1"),
+                                                ("4", "1.68"), ("8", "1.5")]
     ])
     def test_search_stays_below_the_value_at_the_antipodal_edge(self, argv):
         # only antipodal pairs have the moments (1, 1, 2^p), and their payoff is 0
@@ -324,14 +322,14 @@ class TestEnvelope:
 
 class TestBruteforce:
     def test_probe_value_range(self):
-        code, out, _ = run_cli(["bruteforce", "--p", "4", "--x", "1,1,1", "--seed", "7"])
+        code, out, _ = run_cli(["bruteforce", "--p", "4", "--x", "1,1,1"])
         assert code == 0
         head = out.splitlines()[0]
         value = float(re.search(r"value=([-+0-9.e]+)", head).group(1))
         assert 0.93 <= value <= 0.9375 + 1e-9
 
     def test_boundary_point_value_zero(self):
-        code, out, _ = run_cli(["bruteforce", "--p", "3", "--x", "1,1,8", "--seed", "1"])
+        code, out, _ = run_cli(["bruteforce", "--p", "3", "--x", "1,1,8"])
         assert code == 0
         value = float(re.search(r"value=([-+0-9.e]+)", out.splitlines()[0]).group(1))
         assert value <= 1e-6
@@ -346,13 +344,6 @@ class TestBruteforce:
         code, _, _ = run_cli(["bruteforce", "--p", "2", "--x", "a,b,c"])
         assert code == 2
 
-    def test_tiny_budget_without_feasible_pair_exit_2(self):
-        # one restart and one poll: seed 2's restart reaches no pair at (1, 1, 1)
-        code, out, err = run_cli(["bruteforce", "--p", "3", "--x", "1,1,1",
-                                  "--restarts", "1", "--local-steps", "1", "--seed", "2"])
-        assert code == 2 and out == ""
-        assert err.startswith("ucx: ") and err.count("\n") == 1
-
     def test_large_p_face_point(self):
         # (0, 1, 1) lies on face 3, where the collinear atom (0, -1) is exact;
         # its payoff 2**-1556 underflows to 0
@@ -365,8 +356,7 @@ class TestBruteforce:
     def test_large_p_interior_point(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(["bruteforce", "--p", "1100", "--x", "1,1,1",
-                                      "--restarts", "24", "--local-steps", "600"])
+            code, out, err = run_cli(["bruteforce", "--p", "1100", "--x", "1,1,1"])
         assert code == 0 and err == ""
         head = out.splitlines()[0]
         value = float(re.search(r"value=([-+0-9.e]+)", head).group(1))
@@ -375,12 +365,11 @@ class TestBruteforce:
 
     @pytest.mark.parametrize("p", ["50", "400"])
     def test_tiny_query_certifies(self, p):
-        # at x = 1e-300 the atom scale c is taken in logs: max(x) W / top
-        # alone is below the normal floats
+        # at x = 1e-300 the atom scale c = (max(x) (a1 + a2))**(1/p) is a
+        # normal float: each searched atom has largest moment 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(["bruteforce", "--p", p, "--x", "1e-300,1e-300,1e-300",
-                                      "--restarts", "24", "--local-steps", "600"])
+            code, out, err = run_cli(["bruteforce", "--p", p, "--x", "1e-300,1e-300,1e-300"])
         assert code == 0 and err == ""
         head = out.splitlines()[0]
         value = float(re.search(r"value=([-+0-9.e]+)", head).group(1))
@@ -390,25 +379,55 @@ class TestBruteforce:
 
     def test_outside_point_exit_2(self):
         # a point outside the cone is a bad input, not a failed mathematical check
-        code, out, err = run_cli(["bruteforce", "--p", "2", "--x", "1,1,99",
-                                  "--restarts", "2", "--local-steps", "10"])
+        code, out, err = run_cli(["bruteforce", "--p", "2", "--x", "1,1,99"])
         assert code == 2 and out == ""
         assert err.startswith("ucx: ") and "outside" in err and err.count("\n") == 1
 
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self):
-        args = ["envelope", "--p", "1.5", "--eps", "1", "--grid-n", "5", "--n-per-face", "10",
-                "--restarts", "8", "--local-steps", "200", "--seed", "42"]
+        args = ["envelope", "--p", "1.5", "--eps", "1", "--grid-n", "5", "--n-per-face", "10"]
         _, first, _ = run_cli(args)
         _, second, _ = run_cli(args)
         assert first.encode() == second.encode()
 
 
+class TestSearchOptions:
+    """``--restarts``, ``--local-steps`` and ``--seed`` (and ``envelope --radius``) are parsed and do nothing."""
+
+    @pytest.mark.parametrize("argv, options", [
+        (["envelope", "--p", "1.5", "--eps", "1", "--grid-n", "5", "--n-per-face", "10"],
+         ["--restarts", "1", "--local-steps", "1", "--seed", "3", "--radius", "128"]),
+        (["envelope", "--p", "4", "--grid-n", "9"], ["--restarts", "32", "--local-steps", "600", "--seed", "0"]),
+        (["bruteforce", "--p", "1.25", "--x", "0.5,1,0.7"], ["--seed", "-1", "--restarts", "0", "--local-steps", "0"]),
+        (["bruteforce", "--p", "3", "--x", "1,1,99"], ["--restarts", "2", "--local-steps", "10"]),
+    ])
+    def test_output_is_byte_identical_without_them(self, argv, options):
+        assert run_cli(argv + options) == run_cli(argv)
+
+    @pytest.mark.parametrize("command, options", [
+        ("envelope", ["--restarts", "--local-steps", "--seed", "--radius"]),
+        ("bruteforce", ["--restarts", "--local-steps", "--seed"]),
+    ])
+    def test_help_says_no_effect(self, command, options):
+        code, out, _ = run_cli([command, "--help"])
+        assert code == 0 and out.count("no effect") == len(options)
+        assert all(re.search(rf"{name} \S+\s+no effect", out) for name in options)
+
+    @pytest.mark.parametrize("argv", [
+        ["envelope", "--p", "3", "--restarts", "x"],
+        ["bruteforce", "--p", "3", "--x", "1,1,1", "--local-steps", "1.5"],
+        ["bruteforce", "--p", "3", "--x", "1,1,1", "--seed", ""],
+    ])
+    def test_malformed_value_exit_2(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("ucx: ") and err.count("\n") == 1
+
+
 class TestBadInputsExit2:
     @pytest.mark.parametrize("command", [
-        ["envelope", "--p", "2000", "--grid-n", "3", "--n-per-face", "4",
-         "--restarts", "1", "--local-steps", "5"],
+        ["envelope", "--p", "2000", "--grid-n", "3", "--n-per-face", "4"],
     ])
     def test_p_too_large_for_2_to_the_p(self, command):
         code, out, err = run_cli(command)
@@ -429,8 +448,7 @@ class TestBadInputsExit2:
         # has a moment above max(x), and that overflows float64 here
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(["bruteforce", "--p", "2", "--x", "1.7e308,1.7e308,1.7e308",
-                                      "--restarts", "8", "--local-steps", "200"])
+            code, out, err = run_cli(["bruteforce", "--p", "2", "--x", "1.7e308,1.7e308,1.7e308"])
         assert code == 2 and out == ""
         assert err.startswith("ucx: ") and "overflows" in err and err.count("\n") == 1
 
@@ -440,7 +458,7 @@ class TestBadInputsExit2:
         "envelope --p 1.5", "envelope --p 1.5 --eps 0", "envelope --p 3 --eps 5",
         "envelope --p 3 --eps 0 --grid-n 3",
         "bruteforce --p 0.5 --x 1,1,1", "bruteforce --p 2 --x -1,1,1", "bruteforce --p 2 --x=-1,1,1",
-        "bruteforce --p 2 --x nan,1,1", "bruteforce --p 2 --x 1,1,1 --seed -1",
+        "bruteforce --p 2 --x nan,1,1",
         "bruteforce --p 3 --x 1,1,1 --theta 0.3",
         # the sandwich tolerance is fixed and the envelope prints CSV only
         "envelope --p 3 --sandwich-tol 0.05", "envelope --p 3 --format json",
@@ -465,8 +483,7 @@ class TestBadInputsExit2:
 
     @pytest.mark.parametrize("x", ["1,1,inf", "nan,1,1", "1,-inf,1"])
     def test_non_finite_point(self, x):
-        code, out, err = run_cli(["bruteforce", "--p", "2", f"--x={x}",
-                                  "--restarts", "1", "--local-steps", "5"])
+        code, out, err = run_cli(["bruteforce", "--p", "2", f"--x={x}"])
         assert code == 2 and out == ""
         assert err.startswith("ucx: ") and err.count("\n") == 1
 

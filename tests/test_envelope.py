@@ -3,7 +3,7 @@ import pytest
 
 from anchors import PAYOFF_P15_E1
 from helpers import boundary_value, face_root_grid, mirrored
-from ucx.bellman import SearchBudget, brute_force_bellman
+from ucx.bellman import brute_force_bellman
 from ucx.certificates import certificate
 from ucx.domain import LambdaPoint, contains
 from ucx.envelope import ObstacleGrid, concavify, sample_boundary
@@ -242,6 +242,6 @@ class TestSandwich:
         x = LambdaPoint(1.0, 1.0, 1.0)
         cert = certificate(4.0).value(x)
         env = concavify(grid_p4, x).result
-        bf = brute_force_bellman(x, 4.0, SearchBudget(48, 800, seed=2)).value
+        bf = brute_force_bellman(x, 4.0).value
         assert bf - 2e-2 <= env <= cert + 1e-9
         assert bf <= cert + 1e-9
