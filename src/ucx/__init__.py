@@ -15,12 +15,12 @@ from .bellman import (
     format_witness,
     moment,
     payoff,
-    witness_test,
 )
 from .certificates import (
     Certificate,
     VerificationReport,
     certificate,
+    midpoint_contraction,
     sharpness_check,
     verify_appendix,
 )
@@ -47,10 +47,10 @@ __all__ = [
     "delta",
     "delta_implicit",
     "format_witness",
+    "midpoint_contraction",
     "moment",
     "payoff",
     "sample_boundary",
     "sharpness_check",
     "verify_appendix",
-    "witness_test",
 ]

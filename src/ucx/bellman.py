@@ -8,33 +8,23 @@ bound on the value function there.
 between two single-atom moment vectors, deterministically, so each payoff is
 such a lower bound up to float rounding; ``brute_force_bellman`` is its
 one-point call.
-``witness_test`` checks the midpoint-contraction definition of the modulus
-against the computed sharp constant.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import VerificationReport
-from .domain import BoundaryFace, LambdaPoint, check_eps, check_exponent, contains
+from .domain import BoundaryFace, LambdaPoint, check_exponent, contains
 from .errors import DomainError, InfeasibleError, NonFiniteError, WitnessError
-from .moduli import delta
 
 #: weights must sum to one within this slack
 WEIGHT_TOL = 1e-12
 #: atoms per searched pair: a chord between two single-atom moment vectors
 #: reaches Hanner's (1956) value, whose extremal pairs have two atoms
 ATOM_COUNT = 2
-#: atoms per random pair in ``witness_test``
-WITNESS_ATOMS = 4
-#: largest exponent ``witness_test`` takes: a normalized atom of weight w has
-#: |f|^p, |g|^p <= 1/w, so |f - g|^p <= 2^p / w, and every weight is above 0.05/4
-WITNESS_P_MAX = math.log2(0.0125 * sys.float_info.max)
 #: relative bound on a solved pair's moment error, per unit of p: 64 units of
 #: float64 rounding, room for the chord's weight solve and the moment sums
 MOMENT_RTOL = 64 * 2.0**-53
@@ -88,14 +78,14 @@ def moment(pair: StepPair, p: float) -> LambdaPoint:
     p = check_exponent(p)
     # one dot product per contiguous moment row: a matrix-vector product
     # over the strided columns could round differently
-    v = _atom_terms(pair.f_values, pair.g_values, p)[0]
+    v = _moments(pair.f_values, pair.g_values, p)
     return LambdaPoint(*(float(pair.weights @ row) for row in v))
 
 
 def payoff(pair: StepPair, p: float) -> float:
     """Averaged midpoint payoff |(f+g)/2|^p."""
     p = check_exponent(p)
-    return float(pair.weights @ _atom_terms(pair.f_values, pair.g_values, p)[1])
+    return float(pair.weights @ _payoffs(pair.f_values, pair.g_values, p))
 
 
 @dataclass(frozen=True)
@@ -108,9 +98,14 @@ class BruteForceResult:
     residual: float
 
 
-def _atom_terms(f, g, p):
-    """Moment vectors (|f|^p, |g|^p, |f-g|^p) on a new first axis, and midpoint payoffs."""
-    return np.stack([np.abs(f) ** p, np.abs(g) ** p, np.abs(f - g) ** p]), np.abs(0.5 * f + 0.5 * g) ** p
+def _moments(f, g, p):
+    """Moment vectors (|f|^p, |g|^p, |f-g|^p) on a new first axis."""
+    return np.stack([np.abs(f) ** p, np.abs(g) ** p, np.abs(f - g) ** p])
+
+
+def _payoffs(f, g, p):
+    """Midpoint payoffs |(f+g)/2|^p."""
+    return np.abs(0.5 * f + 0.5 * g) ** p
 
 
 def _cross(u, v):
@@ -123,7 +118,7 @@ def _dot(u, v):
 
 
 def _hexagon(t, p):
-    """Atom values (f, g) at t on the hexagon max(|f|, |g|, |f - g|) = 1, their moments and payoff.
+    """Atom values (f, g) at t on the hexagon max(|f|, |g|, |f - g|) = 1 and their moments.
 
     Its sides are (1, t), (2 - t, 1) and (2 - t, 3 - t) for t in [0, 1],
     [1, 2] and [2, 3], with period 3 (``np.mod`` of t >= 0 is exact): (f, g)
@@ -132,7 +127,7 @@ def _hexagon(t, p):
     """
     t = np.mod(t, 3.0)
     f, g = np.minimum(1.0, 2.0 - t), np.minimum(np.minimum(t, 1.0), 3.0 - t)
-    return (f, g) + _atom_terms(f, g, p)
+    return f, g, _moments(f, g, p)
 
 
 def _chord(x, t1, t2, p):
@@ -143,13 +138,13 @@ def _chord(x, t1, t2, p):
     ``MOMENT_RTOL_MAX``) relative to each moment or to max(x1, x2), which bounds
     the payoff, scores -inf: the p-th powers multiply the ends' rounding by p.
     """
-    _, _, v1, w1 = _hexagon(t1, p)
-    _, _, v2, w2 = _hexagon(t2, p)
+    f1, g1, v1 = _hexagon(t1, p)
+    f2, g2, v2 = _hexagon(t2, p)
     n = _cross(v1, v2)
     a1, a2 = _dot(_cross(x, v2), n) / _dot(n, n), _dot(_cross(v1, x), n) / _dot(n, n)
     tol = min(MOMENT_RTOL * p, MOMENT_RTOL_MAX) * np.maximum(x, np.maximum(x[0], x[1]))
     feasible = (a1 >= 0.0) & (a2 >= 0.0) & (np.abs(a1 * v1 + a2 * v2 - x) <= tol).all(axis=0)
-    return np.where(feasible, a1 * w1 + a2 * w2, -np.inf), (a1, a2)
+    return np.where(feasible, a1 * _payoffs(f1, g1, p) + a2 * _payoffs(f2, g2, p), -np.inf), (a1, a2)
 
 
 def _far_end(x, t1, lo, hi, p):
@@ -293,7 +288,7 @@ def _witness(target, t1, t2, p):
     mass = a1[0] + a2[0]
     c = (target.max() * mass) ** (1.0 / p)
     f, g = (c * u for u in _hexagon(ends, p)[:2])
-    if not np.isfinite(_atom_terms(f, g, p)[0]).all():
+    if not np.isfinite(_moments(f, g, p)).all():
         raise NonFiniteError(f"scaling the witness for {target.tolist()} back from max(x) = 1"
                              f" overflows float64 at p={p!r}")
     atoms = zip([float(a1[0] / mass), float(a2[0] / mass)], f.tolist(), g.tolist())
@@ -313,49 +308,3 @@ def format_witness(x: LambdaPoint, p: float, result: BruteForceResult) -> str:
     rows = [f"w={a!r} f={fv!r} g={gv!r}" for a, fv, gv in result.witness.atoms]
     return "\n".join([head] + rows)
 
-
-def witness_test(p: float, eps: float, trials: int, seed: int) -> VerificationReport:
-    """Random unit pairs with ||f-g|| >= eps must satisfy the midpoint bound.
-
-    Atom values mix uniform[-2, 2] with exact +-1 spikes so near-extremal
-    collinear pairs actually occur in the sample.  Pairs are rescaled to
-    unit norm, filtered by the separation constraint, and checked against
-    ||(f+g)/2|| <= 1 - delta(eps, p) + 1e-9.  The report's worst value is
-    the largest midpoint norm observed among survivors.
-    """
-    p = check_exponent(p)
-    if not p <= WITNESS_P_MAX:
-        raise DomainError(f"witness moments overflow float64 past p={WITNESS_P_MAX:.1f}, got p={p!r}")
-    eps = check_eps(eps, allow_zero=False)
-    if trials < 1 or seed < 0:
-        raise DomainError(f"witness_test needs trials >= 1 and seed >= 0, got {trials}, {seed}")
-    bound = 1.0 - delta(p, eps) + 1e-9
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    wts = rng.uniform(0.05, 1.0, (trials, WITNESS_ATOMS))
-    wts /= wts.sum(axis=1, keepdims=True)
-
-    def draw_values() -> np.ndarray:
-        flat = rng.uniform(-2.0, 2.0, (trials, WITNESS_ATOMS))
-        spike = rng.integers(0, 2, (trials, WITNESS_ATOMS)).astype(float) * 2.0 - 1.0
-        use_spike = rng.integers(0, 2, (trials, WITNESS_ATOMS)).astype(bool)
-        return np.where(use_spike, spike, flat)
-
-    fv, gv = draw_values(), draw_values()
-    nf = (wts * np.abs(fv) ** p).sum(axis=1) ** (1.0 / p)
-    ng = (wts * np.abs(gv) ** p).sum(axis=1) ** (1.0 / p)
-    ok = (nf > 1e-12) & (ng > 1e-12)
-    fv = np.where(ok[:, None], fv / np.maximum(nf, 1e-300)[:, None], 0.0)
-    gv = np.where(ok[:, None], gv / np.maximum(ng, 1e-300)[:, None], 0.0)
-    dist = (wts * np.abs(fv - gv) ** p).sum(axis=1) ** (1.0 / p)
-    survivors = ok & (dist >= eps)
-    mid = (wts * np.abs(0.5 * (fv + gv)) ** p).sum(axis=1) ** (1.0 / p)
-    mid = np.where(survivors, mid, -np.inf)
-
-    if survivors.any():
-        i = int(np.argmax(mid))
-        worst, at = float(mid[i]), float(i)
-        passed = bool(worst <= bound)
-    else:
-        worst, at, passed = 0.0, -1.0, True
-    return VerificationReport("midpoint-contraction", trials, worst, at, passed)

@@ -6,9 +6,12 @@ extremal value function everywhere; evaluating it at the query point
 (1, 1, eps^p) yields the sharp modulus.  ``verify_appendix`` re-derives
 every inequality the majorization rests on by direct grid scans of the
 compact section of the cone (largest p-th root 1, ``section_profile``),
-where every quantity is O(1) at every eps.  ``sharpness_check`` verifies
-the chord argument showing the certificates are tight at the query point;
-the chord's gap to the certificate is affine, so it checks the two ends.
+where every quantity is O(1) at every eps.  The modulus is attained by an
+explicit two-atom pair (Hanner 1956 for p < 2, Clarkson 1936 for p >= 2):
+``midpoint_contraction`` checks it against the definition of delta, and
+``sharpness_check`` verifies the chord between its two atoms' moment
+vectors, along which the certificates are tight at the query point; the
+chord's gap to the certificate is affine, so it checks the two ends.
 """
 
 from __future__ import annotations
@@ -21,7 +24,12 @@ import numpy as np
 
 from .domain import LambdaPoint, check_eps, check_exponent, section_profile
 from .errors import DomainError
-from .moduli import delta
+from .moduli import _log_mean_power, delta
+
+#: relative tolerance of the extremal pair's unit modulus against delta and
+#: of its unit separation against eps (``midpoint_contraction``); below
+#: p = 1.0002 it is 2e-15 / (p - 1) instead, ``delta``'s accuracy there
+PAIR_RTOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -111,11 +119,6 @@ def _tangent_certificate(p: float, eps: float) -> Certificate:
     return Certificate((kappa, kappa, c3), w)
 
 
-def _section_root(w: float) -> float:
-    """The payoff root tau* of the section point with roots (1, |1 - w|, w)."""
-    return 1.0 - 0.5 * w if w <= 1.0 else 1.0 / w - 0.5
-
-
 def _monotonicity_witness(s: np.ndarray, p: float) -> np.ndarray:
     """One-variable witness for the p >= 2 majorization: 1 - (s-1)^(p-1) - 2(1-s/2)^(p-1).
 
@@ -198,7 +201,8 @@ def verify_appendix(p: float, eps: float | None, grid_n: int) -> list[Verificati
         # each difference is reported at the left end of its step
         reports.append(_report_max("slope-ratio-decreasing", t_in, np.diff(ratio), 1e-12))
 
-        tau_star = _section_root(cert.w)
+        # the payoff root of the tangency point, roots (1, |1 - w|, w)
+        tau_star = 1.0 - 0.5 * cert.w if cert.w <= 1.0 else 1.0 / cert.w - 0.5
         band = 2.0 * (tau[1] - tau[0])
         rhs = cert.c[0] - ratio
         # 0.0 - rhs, not -rhs: a root of rhs past the tangency reports +0.0
@@ -210,39 +214,80 @@ def verify_appendix(p: float, eps: float | None, grid_n: int) -> list[Verificati
     return reports
 
 
+def _extremal_pair(p: float, eps: float, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """f's and g's atom values, times 2, of the two-atom pair (weights 1/2) attaining delta_p(eps) = d.
+
+    With u = 1 - d and a = eps/2: for 1 < p < 2 Hanner's (1956)
+    f = (u + a, u - a), g = (u - a, u + a); for p >= 2 Clarkson's (1936)
+    f = (s, t), g = (s, -t) with s = 2**(1/p) u and t = 2**(1/p) a.  Both
+    have ||f - g|| = eps and ||(f + g)/2|| = u, and ||f||^p = ||g||^p = 1
+    exactly when d is the sharp constant.  The values are doubled so that
+    none underflows at eps = 5e-324.
+    """
+    u2 = 2.0 * (1.0 - d)
+    if p < 2.0:
+        return np.array([u2 + eps, u2 - eps]), np.array([u2 - eps, u2 + eps])
+    scale = 2.0 ** (1.0 / p)
+    return scale * np.array([u2, eps]), scale * np.array([u2, -eps])
+
+
+def midpoint_contraction(p: float, eps: float) -> VerificationReport:
+    """The extremal pair, scaled to unit norm, attains delta in its midpoint-contraction definition.
+
+    delta_p(eps) is the least 1 - ||(f + g)/2|| over ||f|| = ||g|| = 1 with
+    ||f - g|| >= eps.  The pair passes when f and g take the same values up
+    to order and sign (so ||f|| == ||g||), when its unit separation
+    eps/||f|| is at least eps, and when its unit modulus 1 - u/||f|| meets
+    delta, both within ``PAIR_RTOL`` relative.  The modulus is
+    -expm1(log u - log ||f||), free of cancellation as eps -> 0: for p < 2,
+    p log ||f|| is the tangency equation's left side (``_log_mean_power``);
+    for p >= 2, ||f||^p = u**p + a**p, whose log is taken as
+    max(x, y) + log1p(exp(-|x - y|)) with x = p log u and y = p log a, since
+    u**p itself would carry p times the rounding of u.  Worst value is the
+    unit midpoint norm u/||f||, at the unit separation, over the 2 atoms.
+    """
+    p, eps = check_exponent(p), check_eps(eps, allow_zero=False)
+    d = delta(p, eps)
+    f, g = _extremal_pair(p, eps, d)
+    log_u = -math.inf if d == 1.0 else math.log1p(-d)
+    if p < 2.0:
+        log_norm = _log_mean_power(log_u, 0.5 * eps, p) / p
+    else:
+        x, y = p * log_u, (p * math.log(0.5 * eps) if 0.5 * eps > 0.0 else -math.inf)
+        log_norm = (max(x, y) + math.log1p(math.exp(-abs(x - y)))) / p
+    rtol, separation = max(PAIR_RTOL, 2e-15 / (p - 1.0)), eps * math.exp(-log_norm)
+    passed = bool(
+        np.array_equal(np.sort(np.abs(f)), np.sort(np.abs(g)))
+        and separation >= eps * (1.0 - rtol)
+        and abs(-math.expm1(log_u - log_norm) - d) <= max(rtol * d, sys.float_info.min)
+    )
+    return VerificationReport("midpoint-contraction", 2, math.exp(log_u - log_norm), separation, passed)
+
+
 def sharpness_check(p: float, eps: float | None = None) -> VerificationReport:
     """Verify the chord argument that makes the certificate sharp.
 
     The certificate equals the chord function (the linear interpolation of
-    the boundary payoff) along a chord between two section points whose cone
-    holds the query ray through (1, 1, eps^p); the value function lies
-    between the two, so it equals the certificate there.  Both are affine
-    along the chord, so their gap is too, and it is largest at an end: worst
-    value is the larger |payoff - cert| of the two ends, at its chord
-    parameter 0 or 1; pass requires it below 1e-10.
+    the boundary payoff) along the chord between the moment vectors of the
+    extremal pair's two atoms, each scaled to largest root 1, whose cone
+    holds the query ray through (1, 1, eps^p) (the pair's moments lie on it
+    when ||f|| = 1, which ``midpoint_contraction`` checks); the value
+    function lies between the two, so it equals the certificate there.  Both
+    are affine along the chord, so their gap is too, and it is largest at an
+    end: worst value is the larger |payoff - cert| of the two ends, at its
+    chord parameter 0 or 1; pass requires it below 1e-10.
 
-    1 < p < 2 (requires eps): the chord joins the tangency point, roots
-    (1, |1 - w|, w) on the section, and its x1 <-> x2 mirror, where the
-    chord function is constant.  Its midpoint lies on the ray of
-    (1, 1, eps^p) exactly when (1 + |1 - w|**p)/2 (eps/w)**p = 1 (the slice
-    form 2 eps^-p = s* + g(s*) at s* = w**-p), which must hold to 1e-12
-    relative.
-
-    p >= 2: the chord joins the antipodal point (2^-p, 2^-p, 1), payoff 0,
-    to (1, 1, 0), payoff 1.  Its cone is all of the cone's plane x1 = x2, so
-    the query ray meets it at every eps in (0, 2].
+    1 < p < 2 (requires eps): the ends are the tangency point, roots
+    (1, |1 - w|, w), and its x1 <-> x2 mirror.  p >= 2: they are (1, 1, 0),
+    payoff 1, and the antipodal (2^-p, 2^-p, 1), payoff 0, at every eps, so
+    the pair is taken at eps = 1; their cone is the whole plane x1 = x2.
     """
     p = check_exponent(p)
     cert = certificate(p, eps)
-    if p < 2.0:
-        w = cert.w
-        x, f, _, _ = section_profile(_section_root(w), p)
-        ends, payoffs = np.array([x, x[[1, 0, 2]]]), np.array([f, f])
-        on_ray = abs(0.5 * (1.0 + abs(1.0 - w) ** p) * (eps / w) ** p - 1.0) <= 1e-12
-    else:
-        ends, payoffs, _, _ = section_profile(np.array([0.0, 1.0]), p)
-        on_ray = True
-    gap = np.abs(payoffs - cert.value(ends))
+    e = eps if p < 2.0 else 1.0
+    f, g = _extremal_pair(p, e, delta(p, e))
+    roots = np.abs([f, g, f - g, 0.5 * (f + g)])
+    roots /= roots[:3].max(axis=0)
+    gap = np.abs(roots[3] ** p - cert.value((roots[:3] ** p).T))
     i = int(np.argmax(gap))
-    passed = bool(gap[i] <= 1e-10 and on_ray)
-    return VerificationReport("chord-equality", 2, float(gap[i]), float(i), passed)
+    return VerificationReport("chord-equality", 2, float(gap[i]), float(i), bool(gap[i] <= 1e-10))

@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Four subcommands: ``table`` (modulus values with cross-check residuals),
-``verify`` (appendix, sharpness, and witness scans as pass/fail report
-lines), ``envelope`` (slice reconstruction CSV with certificate and
+``verify`` (appendix scans, the chord and the extremal pair as pass/fail
+report lines), ``envelope`` (slice reconstruction CSV with certificate and
 brute-force columns), and ``bruteforce`` (a single search probe).
 
 Exit codes: 0 success, 1 a mathematical verification failed, 2 usage error.
-Floats are printed with shortest round-trip repr, so identical command
-lines (including ``verify --seed``) produce byte-identical output.
+Floats are printed with shortest round-trip repr, and nothing is random, so
+identical command lines produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     reports = certificates.verify_appendix(args.p, args.eps, args.grid_n)
     reports.append(certificates.sharpness_check(args.p, args.eps))
-    if args.trials > 0 and args.eps is not None:
-        reports.append(bellman.witness_test(args.p, args.eps, args.trials, args.seed))
+    if args.eps is not None:
+        reports.append(certificates.midpoint_contraction(args.p, args.eps))
     _write_output(args.output, "".join(r.line() + "\n" for r in reports))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -155,8 +155,8 @@ def cmd_bruteforce(args) -> int:
     return 0
 
 
-#: help of the search options, parsed only so that old command lines still run
-_NO_EFFECT = "no effect: the two-atom search has no seed, restarts or step budget"
+#: help of the options parsed only so that old command lines still run
+_NO_EFFECT = "no effect: nothing here draws random trials or has a seed, restarts or step budget"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,12 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--output", default="-")
     t.set_defaults(fn=cmd_table)
 
-    v = sub.add_parser("verify", help="appendix, sharpness, and witness verification")
+    v = sub.add_parser("verify", help="appendix scans, chord sharpness and the extremal pair")
     v.add_argument("--p", type=float, required=True)
     v.add_argument("--eps", type=float, default=None)
     v.add_argument("--grid-n", type=int, default=10001, dest="grid_n")
-    v.add_argument("--trials", type=int, default=0, help="witness trials (0 skips)")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--trials", type=int, help=_NO_EFFECT)
+    v.add_argument("--seed", type=int, help=_NO_EFFECT)
     v.add_argument("--output", default="-")
     v.set_defaults(fn=cmd_verify)
 

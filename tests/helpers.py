@@ -1,5 +1,7 @@
 """Numerical helpers that only the tests use."""
 
+import math
+import random
 from dataclasses import dataclass
 
 import mpmath
@@ -143,6 +145,22 @@ def slice_point(s: float, p: float, swapped: bool = False) -> LambdaPoint:
     if swapped:
         return LambdaPoint(prof.g, prof.s, 1.0)
     return LambdaPoint(prof.s, prof.g, 1.0)
+
+
+def contract_points():
+    """The seeded (p, eps) sample of the accuracy contract, all with 1.01 <= p < 2."""
+    rng = random.Random(20140219)
+    points = []
+    for _ in range(160):
+        p = rng.uniform(1.01, 2.0)
+        points.append((p, math.exp(rng.uniform(math.log(1e-8), math.log(2.0)))))
+    for p in (1.01, 1.5, 1.99):
+        points.append((p, 2.0 - 4e-16))
+    for _ in range(20):
+        # 1 - delta = eps/2 at eps = 2^(1/p), where the two powers trade places
+        p = rng.uniform(1.01, 2.0)
+        points += [(p, 2.0 ** (1.0 / p) * (1.0 + k)) for k in (0.0, 1e-12, -1e-9)]
+    return points
 
 
 def delta_mpmath(p, eps):

@@ -13,8 +13,8 @@ import pytest
 
 from anchors import DELTA_P15_E1, S_STAR_P15_E1
 from helpers import StepFunction, boundary_profile, hanner_gap, slice_lower_bound, slice_point
-from ucx.bellman import brute_force_bellman, witness_test
-from ucx.certificates import certificate, sharpness_check, verify_appendix
+from ucx.bellman import brute_force_bellman
+from ucx.certificates import certificate, midpoint_contraction, sharpness_check, verify_appendix
 from ucx.cli import main as cli_main
 from ucx.domain import LambdaPoint
 from ucx.envelope import concavify, sample_boundary
@@ -173,12 +173,14 @@ def test_criterion_6_hanner_property_suite():
     report(6, "two-function inequality suite", sw)
 
 
-def test_criterion_7_witness_suite():
+def test_criterion_7_extremal_pair():
     with Stopwatch(10.0) as sw:
         for p, eps in [(2.0, 1.0), (4.0, 1.0), (1.5, 1.0)]:
-            rep = witness_test(p, eps, 10000, seed=911)
+            rep = midpoint_contraction(p, eps)
             assert rep.passed, rep.line()
-    report(7, "midpoint-contraction witness suite", sw)
+            # the unit pair's midpoint norm is 1 - delta, up to rounding
+            assert rep.worst_value == pytest.approx(1.0 - delta(p, eps), rel=1e-15)
+    report(7, "midpoint-contraction extremal pair", sw)
 
 
 def _capture_cli(argv):
@@ -196,7 +198,7 @@ def test_criterion_8_determinism():
         ["bruteforce", "--p", "4", "--x", "1,1,1"],
         ["bruteforce", "--p", "1.5", "--x", "1,1,1"],
         ["bruteforce", "--p", "2", "--x", "1,1,1"],
-        # criterion-7 configurations
+        # criterion-7 configurations, with the old witness options, which have no effect
         ["verify", "--p", "2", "--eps", "1", "--grid-n", "2001", "--trials", "10000", "--seed", "911"],
         ["verify", "--p", "4", "--eps", "1", "--grid-n", "2001", "--trials", "10000", "--seed", "911"],
         ["verify", "--p", "1.5", "--eps", "1", "--grid-n", "2001", "--trials", "10000", "--seed", "911"],

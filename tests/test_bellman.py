@@ -13,12 +13,12 @@ from ucx.bellman import (
     format_witness,
     moment,
     payoff,
-    witness_test,
 )
-from ucx.certificates import certificate
+from ucx.certificates import _extremal_pair, certificate
 from ucx.cli import main as cli_main
 from ucx.domain import BoundaryFace, LambdaPoint, contains
 from ucx.errors import DomainError, InfeasibleError, NonFiniteError, WitnessError
+from ucx.moduli import delta
 
 
 def pair(*atoms):
@@ -456,22 +456,21 @@ class TestExact:
         exact = float((1 - delta_mpmath(p, eps)) ** p) if p < 2.0 else 1.0 - x3 / 2.0**p
         assert abs(brute_force_bellman(LambdaPoint(1.0, 1.0, x3), p).value - exact) <= 1e-14
 
+    @pytest.mark.parametrize("p, i", [(1.5, 1), (1.75, 1), (1.75, 3), (3.0, 1), (4.0, 2)])
+    def test_sharp_witness_is_the_extremal_pair(self, p, i):
+        # the search and the certificate route reach one pair: Hanner's for p < 2,
+        # Clarkson's for p >= 2.  Atoms are matched by their direction g/f, and
+        # the weighted moment vectors compared at unit total x1; the payoff is
+        # flat at its maximum, so the argmax is resolved to about 3e-8
+        eps = 2.0 * (i / 4) ** (1.0 / p)
+        found = brute_force_bellman(LambdaPoint(1.0, 1.0, i * 2.0**p / 4), p).witness
+        f, g = _extremal_pair(p, eps, delta(p, eps))
+        sides = []
+        for weights, fv, gv in [(found.weights, found.f_values, found.g_values), (np.full(2, 0.5), f, g)]:
+            order = np.argsort(gv / fv)
+            moments = weights * np.array([np.abs(fv) ** p, np.abs(gv) ** p, np.abs(fv - gv) ** p])
+            sides.append(((gv / fv)[order], (moments / moments[0].sum())[:, order]))
+        (found_dirs, found_moments), (pair_dirs, pair_moments) = sides
+        assert np.allclose(found_dirs, pair_dirs, rtol=1e-6, atol=0.0)
+        assert np.allclose(found_moments, pair_moments, rtol=1e-6, atol=1e-6 * pair_moments.max())
 
-class TestWitnessSuite:
-    def test_p2_bound_is_parallelogram_sharp(self):
-        rep = witness_test(2.0, 1.0, 10000, seed=11)
-        assert rep.passed
-        assert rep.worst_value <= np.sqrt(3.0) / 2.0 + 1e-9
-
-    def test_p4_eps2_only_antipodal_survive(self):
-        rep = witness_test(4.0, 2.0, 10000, seed=11)
-        assert rep.passed
-        assert rep.worst_value <= 1e-9  # survivors are exactly antipodal; midpoint 0
-
-    def test_p15(self):
-        rep = witness_test(1.5, 1.0, 10000, seed=11)
-        assert rep.passed
-
-    def test_eps_validation(self):
-        with pytest.raises(DomainError):
-            witness_test(2.0, 0.0, 100, seed=0)

@@ -7,17 +7,19 @@ import mpmath
 import numpy as np
 import pytest
 
-from anchors import KAPPA_P15_E1, PAYOFF_P15_E1
-from helpers import delta_mpmath, slice_point
+from anchors import DELTA_P15_E1, KAPPA_P15_E1, PAYOFF_P15_E1
+from helpers import contract_points, delta_mpmath, slice_point
 from ucx import certificates
 from ucx.certificates import (
     Certificate,
     certificate,
+    midpoint_contraction,
     sharpness_check,
     verify_appendix,
 )
 from ucx.domain import LambdaPoint, section_profile
 from ucx.errors import DomainError
+from ucx.moduli import delta
 
 
 def section_gap(cert, tau, p):
@@ -243,7 +245,7 @@ class TestSharpness:
     @pytest.mark.parametrize("p", [1.2, 1.5])
     @pytest.mark.parametrize("eps", [1e-2, 3e-3, 1e-3])
     def test_lt2_chord_equality_small_eps(self, p, eps):
-        # s* is near 2 eps^-p here; its equation is checked to 1e-12 relative
+        # s* is near 2 eps^-p here; the chord's ends are the extremal pair's atoms
         assert sharpness_check(p, eps).passed
 
     def test_ge2_chord_equality(self):
@@ -299,3 +301,78 @@ class TestChordMutation:
                         rejected[p < 2.0] += 1
         # the scan rejects some perturbations on both sides of p = 2
         assert rejected[True] >= 20 and rejected[False] >= 20, rejected
+
+
+#: the (p, eps) of the benchmark's sharp points: row i of a 5-row slice, eps = 2 (i/4)^(1/p)
+SHARP_POINTS = [(p, 2.0 * (i / 4) ** (1.0 / p)) for p, i in [(1.5, 1), (1.75, 1), (1.75, 3), (3.0, 1), (4.0, 2)]]
+#: where a perturbed delta must be rejected: the sharp points, then both regimes from small to large eps
+MUTATION_POINTS = SHARP_POINTS + [(1.5, 1.0), (1.25, 0.66), (1.1, 0.3), (1.75, 1.9), (3.0, 0.1), (1.5, 1e-4),
+                                  (1.5, 1e-8)]
+
+
+class TestMidpointContraction:
+    """The extremal pair, scaled to unit norm, attains delta in its midpoint-contraction definition."""
+
+    def test_p2_is_parallelogram_sharp(self):
+        rep = midpoint_contraction(2.0, 1.0)
+        assert rep.passed and rep.line().startswith("claim=midpoint-contraction pass=true")
+        assert rep.worst_value == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-15)
+        assert rep.worst_arg == pytest.approx(1.0, rel=1e-15) and rep.grid == 2
+
+    def test_p4_eps2_pair_is_antipodal(self):
+        rep = midpoint_contraction(4.0, 2.0)
+        assert rep.passed and rep.worst_value == 0.0 and rep.worst_arg == 2.0
+
+    def test_p15(self):
+        rep = midpoint_contraction(1.5, 1.0)
+        assert rep.passed
+        assert rep.worst_value == pytest.approx(1.0 - DELTA_P15_E1, rel=1e-15)
+
+    def test_eps_validation(self):
+        with pytest.raises(DomainError):
+            midpoint_contraction(2.0, 0.0)
+
+    @pytest.mark.parametrize("p, eps", SHARP_POINTS)
+    def test_worst_is_one_minus_the_reference_delta(self, p, eps):
+        # the benchmark bounds worst by 1 - delta_ref + 1e-9; the pair meets it to
+        # rounding.  For p >= 2, 1 - delta is (1 - (eps/2)^p)^(1/p)
+        with mpmath.workdps(50):
+            ref = 1 - delta_mpmath(p, eps) if p < 2.0 else (1 - (mpmath.mpf(eps) / 2) ** p) ** (1 / mpmath.mpf(p))
+        assert abs(midpoint_contraction(p, eps).worst_value - float(ref)) <= 1e-15
+
+    @pytest.mark.parametrize("p, eps", MUTATION_POINTS)
+    @pytest.mark.parametrize("r", [1e-9, -1e-9])
+    def test_rejects_a_perturbed_delta(self, monkeypatch, p, eps, r):
+        assert midpoint_contraction(p, eps).passed
+        monkeypatch.setattr(certificates, "delta", lambda p, eps: delta(p, eps) * (1.0 + r))
+        assert not midpoint_contraction(p, eps).passed
+
+    @pytest.mark.parametrize("factor", [1.01, 0.5])
+    def test_rejects_what_a_random_sample_passed(self, monkeypatch, factor):
+        # a sample of 20,000 random 4-atom pairs at (1.5, 1) catches neither factor
+        monkeypatch.setattr(certificates, "delta", lambda p, eps: delta(p, eps) * factor)
+        assert not midpoint_contraction(1.5, 1.0).passed
+
+    def test_separation_rejects_a_pair_off_the_unit_sphere(self, monkeypatch):
+        # near eps = 2 delta exceeds u, and a norm 1.8e-11 above 1 moves the
+        # modulus by only 6e-12 relative: the separation eps/||f|| rejects it
+        monkeypatch.setattr(certificates, "delta", lambda p, eps: delta(p, eps) * (1.0 - 4e-10))
+        rep = midpoint_contraction(3.0, 1.99)
+        assert not rep.passed and 1.99 * (1.0 - 2e-11) < rep.worst_arg < 1.99 * (1.0 - 1e-11)
+
+    def test_unequal_norms_rejected(self, monkeypatch):
+        pair = certificates._extremal_pair
+        monkeypatch.setattr(certificates, "_extremal_pair", lambda *args: (pair(*args)[0], 1.0001 * pair(*args)[1]))
+        assert not midpoint_contraction(1.5, 1.0).passed
+
+    def test_accepts_delta_at_the_accuracy_contract_points(self):
+        failed = [(p, eps) for p, eps in contract_points() if not midpoint_contraction(p, eps).passed]
+        assert failed == []
+
+    @pytest.mark.parametrize("k", [41, 44, 52])
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 1.9, 1.9999, 2.0 - 2.0**-52])
+    def test_p_near_one(self, k, eps):
+        # the mean power's terms cancel to O(p - 1) here, as in delta's own root solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert midpoint_contraction(1.0 + 2.0**-k, eps).passed

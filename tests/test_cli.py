@@ -133,7 +133,7 @@ class TestVerify:
             ["verify", "--p", "1.5", "--eps", "1", "--grid-n", "2001", "--trials", "2000", "--seed", "5"]
         )
         assert code == 0
-        assert any(line.startswith("claim=midpoint-contraction") for line in out.splitlines())
+        assert sum(line.startswith("claim=midpoint-contraction") for line in out.splitlines()) == 1
 
     def test_missing_eps_diagnostic(self):
         code, out, err = run_cli(["verify", "--p", "1.5"])
@@ -159,10 +159,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("eps", ["1e-300", "5e-324"])
     def test_tiny_eps_certifies(self, eps):
-        # s* = w**-p and 2 eps^-p overflow float64 here; the tangency root w does not
+        # s* = w**-p and 2 eps^-p overflow float64 here; the tangency root w does
+        # not.  Seven claims: an eps adds midpoint-contraction
         code, out, err = run_cli(["verify", "--p", "1.5", "--eps", eps])
         lines = out.splitlines()
-        assert code == 0 and err == "" and len(lines) == 6
+        assert code == 0 and err == "" and len(lines) == 7
         assert all(" pass=true " in line for line in lines)
 
     @pytest.mark.parametrize("p", ["1100", "2000", "1e308", "1.6363308087894492e+308",
@@ -393,7 +394,8 @@ class TestDeterminism:
 
 
 class TestSearchOptions:
-    """``--restarts``, ``--local-steps`` and ``--seed`` (and ``envelope --radius``) are parsed and do nothing."""
+    """``--restarts``, ``--local-steps`` and ``--seed`` (and ``envelope --radius``, ``verify --trials``) are parsed
+    and do nothing."""
 
     @pytest.mark.parametrize("argv, options", [
         (["envelope", "--p", "1.5", "--eps", "1", "--grid-n", "5", "--n-per-face", "10"],
@@ -401,6 +403,7 @@ class TestSearchOptions:
         (["envelope", "--p", "4", "--grid-n", "9"], ["--restarts", "32", "--local-steps", "600", "--seed", "0"]),
         (["bruteforce", "--p", "1.25", "--x", "0.5,1,0.7"], ["--seed", "-1", "--restarts", "0", "--local-steps", "0"]),
         (["bruteforce", "--p", "3", "--x", "1,1,99"], ["--restarts", "2", "--local-steps", "10"]),
+        (["verify", "--p", "1.5", "--eps", "1", "--grid-n", "101"], ["--trials", "20000", "--seed", "1"]),
     ])
     def test_output_is_byte_identical_without_them(self, argv, options):
         assert run_cli(argv + options) == run_cli(argv)
@@ -408,6 +411,7 @@ class TestSearchOptions:
     @pytest.mark.parametrize("command, options", [
         ("envelope", ["--restarts", "--local-steps", "--seed", "--radius"]),
         ("bruteforce", ["--restarts", "--local-steps", "--seed"]),
+        ("verify", ["--trials", "--seed"]),
     ])
     def test_help_says_no_effect(self, command, options):
         code, out, _ = run_cli([command, "--help"])
@@ -460,6 +464,8 @@ class TestBadInputsExit2:
         "bruteforce --p 0.5 --x 1,1,1", "bruteforce --p 2 --x -1,1,1", "bruteforce --p 2 --x=-1,1,1",
         "bruteforce --p 2 --x nan,1,1",
         "bruteforce --p 3 --x 1,1,1 --theta 0.3",
+        # float64 resolves the search's hexagon too coarsely past p = 1e7
+        "bruteforce --p 1e8 --x 1,0.5,0.7",
         # the sandwich tolerance is fixed and the envelope prints CSV only
         "envelope --p 3 --sandwich-tol 0.05", "envelope --p 3 --format json",
         # a negative tolerance made every exact meeting of search and envelope a violation

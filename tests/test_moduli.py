@@ -1,5 +1,4 @@
 import math
-import random
 
 import mpmath
 import numpy as np
@@ -15,7 +14,7 @@ from anchors import (
     DELTA_TINY_CORNERS,
     S_STAR_P15_E1,
 )
-from helpers import delta_mpmath
+from helpers import contract_points, delta_mpmath
 from ucx import moduli
 from ucx.certificates import certificate
 from ucx.errors import DomainError
@@ -186,22 +185,6 @@ class TestInvariants:
 def _relative_error(value, ref):
     with mpmath.workdps(50):
         return float(abs(mpmath.mpf(value) - ref) / ref)
-
-
-def contract_points():
-    """The seeded (p, eps) sample of the accuracy contract, all with 1.01 <= p < 2."""
-    rng = random.Random(20140219)
-    points = []
-    for _ in range(160):
-        p = rng.uniform(1.01, 2.0)
-        points.append((p, math.exp(rng.uniform(math.log(1e-8), math.log(2.0)))))
-    for p in (1.01, 1.5, 1.99):
-        points.append((p, 2.0 - 4e-16))
-    for _ in range(20):
-        # 1 - delta = eps/2 at eps = 2^(1/p), where the two powers trade places
-        p = rng.uniform(1.01, 2.0)
-        points += [(p, 2.0 ** (1.0 / p) * (1.0 + k)) for k in (0.0, 1e-12, -1e-9)]
-    return points
 
 
 class TestAccuracyContract:
