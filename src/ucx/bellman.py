@@ -5,9 +5,9 @@ piecewise-constant pair on a unit-mass interval; its averaged moments land
 in the cone and its payoff, the averaged midpoint |(f+g)/2|^p, is a lower
 bound on the value function there.
 ``brute_force_batch`` finds, for each query point, the best chord through it
-between two single-atom moment vectors, deterministically, so each payoff is
-such a lower bound up to float rounding; ``brute_force_bellman`` is its
-one-point call.
+between two single-atom moment vectors, deterministically and for a chunk of
+points at a time in lockstep, so each payoff is such a lower bound up to float
+rounding; ``brute_force_bellman`` is its one-point call.
 """
 
 from __future__ import annotations
@@ -37,10 +37,12 @@ SCAN_PER_SIDE = 64
 #: scan peaks each query refines: near p = 1 the best chord's peak is narrow,
 #: and the scan can rank another above it
 PEAKS = 4
-#: first ends each round of zooming in on a peak scores, and the rounds: each
-#: shrinks the bracket by (ZOOM - 1) / 2 = 128, from two cells to 1.2e-10
-ZOOM = 257
-ZOOM_ROUNDS = 4
+#: first ends each round of zooming in on a peak scores, and the rounds: each shrinks
+#: the bracket 64-fold, from two cells to 2.9e-11; finer zooms round up past Hanner's value
+ZOOM = 129
+ZOOM_ROUNDS = 5
+#: queries searched in lockstep: numpy's per-call cost once a chunk, in bounded memory
+CHUNK = 6
 #: most false-position steps per chord end
 ROOT_STEPS = 40
 
@@ -143,7 +145,8 @@ def _chord(x, t1, t2, p):
     n = _cross(v1, v2)
     a1, a2 = _dot(_cross(x, v2), n) / _dot(n, n), _dot(_cross(v1, x), n) / _dot(n, n)
     tol = min(MOMENT_RTOL * p, MOMENT_RTOL_MAX) * np.maximum(x, np.maximum(x[0], x[1]))
-    feasible = (a1 >= 0.0) & (a2 >= 0.0) & (np.abs(a1 * v1 + a2 * v2 - x) <= tol).all(axis=0)
+    feasible = (a1 >= 0.0) & (a2 >= 0.0) & np.logical_and.reduce(  # a moment at a time: fewer temporaries
+        [np.abs(a1 * v1[i] + a2 * v2[i] - x[i]) <= tol[i] for i in range(3)])
     return np.where(feasible, a1 * _payoffs(f1, g1, p) + a2 * _payoffs(f2, g2, p), -np.inf), (a1, a2)
 
 
@@ -179,16 +182,16 @@ def _far_end(x, t1, lo, hi, p):
 
 
 def _scan(x, p):
-    """Far end and payoff of the chord through x from each scan point t_j = j / SCAN_PER_SIDE.
+    """Far ends and payoffs of the chords through each column of x from the scan points t_j = j / SCAN_PER_SIDE.
 
     The far end's cell comes from bisecting the signs of ``_far_end``'s
     determinant at the scan points after t_j (t_j negative, t_j + 3 positive).
     """
     n = 3 * SCAN_PER_SIDE
-    x, t = x[:, None], np.arange(n) / SCAN_PER_SIDE
+    x, t = x[:, :, None], np.arange(n) / SCAN_PER_SIDE
     v = _hexagon(t, p)[2]
-    normal = _cross(v, x)
-    lo, hi = np.zeros(n, dtype=int), np.full(n, n)
+    normal, t = _cross(v, x), t[None]
+    lo, hi = np.zeros(normal[0].shape, dtype=int), np.full(normal[0].shape, n)
     while (hi - lo > 1).any():
         mid = (lo + hi) // 2
         left = (mid == 0) | (_dot(normal, v[:, (np.arange(n) + mid) % n]) < 0.0)
@@ -198,21 +201,21 @@ def _scan(x, p):
 
 
 def _zoom(x, a, b, ra, rb, p):
-    """Best chord through x with first end in each peak's [a, b]: payoff and ends, by ``ZOOM_ROUNDS`` rounds.
+    """Best chord through column i of x, first end in [a_i, b_i]: payoff and ends, by ``ZOOM_ROUNDS`` rounds.
 
     ``ra``, ``rb`` are the far ends of a and b.  A round scores ``ZOOM``
     evenly spaced first ends and keeps the best one's neighbours; far ends
     move with first ends, so all lie in [ra, rb].
     """
-    rows, x = np.arange(len(a)), x[:, None, None]
+    lanes, x = np.arange(len(a)), x[:, :, None]
     for _ in range(ZOOM_ROUNDS):
         t1 = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, ZOOM)
         far = _far_end(x, t1, np.maximum(ra[:, None], t1), np.minimum(rb[:, None], t1 + 3.0), p)
         score = _chord(x, t1, far, p)[0]
         k = np.argmax(score, axis=1)
-        a, b = t1[rows, np.maximum(k - 1, 0)], t1[rows, np.minimum(k + 1, ZOOM - 1)]
-        ra, rb = far[rows, np.maximum(k - 1, 0)], far[rows, np.minimum(k + 1, ZOOM - 1)]
-    return score[rows, k], t1[rows, k], far[rows, k]
+        a, b = t1[lanes, np.maximum(k - 1, 0)], t1[lanes, np.minimum(k + 1, ZOOM - 1)]
+        ra, rb = far[lanes, np.maximum(k - 1, 0)], far[lanes, np.minimum(k + 1, ZOOM - 1)]
+    return score[lanes, k], t1[lanes, k], far[lanes, k]
 
 
 def brute_force_batch(points: list[LambdaPoint], p: float) -> list[BruteForceResult]:
@@ -223,19 +226,21 @@ def brute_force_batch(points: list[LambdaPoint], p: float) -> list[BruteForceRes
     point is searched at x / max(x) by degree-1 homogeneity: a pair is a chord
     through x between two atoms' moment vectors, and its first end on the
     hexagon of atom values fixes the rest.  The first end is scanned, and the
-    ``PEAKS`` best local maxima of the payoff are zoomed in on, one point at a
-    time.  ``residual`` is the distance of the witness's moments m from x;
-    its payoff is at most V(m), so it exceeds V(x) by at most the gradient of
-    V times m - x.  The first point in input order outside the cone raises
-    ``InfeasibleError``, one whose witness overflows float64 when scaled back
-    ``NonFiniteError``, and one no chord meets, or whose witness misses it,
-    ``WitnessError``.
+    ``PEAKS`` best local maxima of the payoff are zoomed in on, ``CHUNK`` points
+    at a time in lockstep.  ``residual`` is the distance of the witness's
+    moments m from x; its payoff is at most V(m), so it exceeds V(x) by at most
+    the gradient of V times m - x.  The first point in input order outside the
+    cone raises ``InfeasibleError``, one whose witness overflows float64 when
+    scaled back ``NonFiniteError``, and one no chord meets, or whose witness
+    misses it, ``WitnessError``.
     """
     p = check_exponent(p)
     targets = [x.as_array() for x in points]
     faces = [contains(x, p) for x in points]
     outside = next((i for i, face in enumerate(faces) if face is BoundaryFace.OUTSIDE), len(points))
-    found = {i: _search(targets[i], p) for i in range(outside) if faces[i] is BoundaryFace.INTERIOR}
+    interior = [i for i in range(outside) if faces[i] is BoundaryFace.INTERIOR]
+    chunks = [interior[start:start + CHUNK] for start in range(0, len(interior), CHUNK)]
+    found = {i: res for c in chunks for i, res in zip(c, _search(np.array([targets[i] for i in c]), p))}
     if outside < len(points):
         raise InfeasibleError(f"{points[outside]} lies outside the cone")
     results = []
@@ -264,19 +269,23 @@ def brute_force_bellman(x: LambdaPoint, p: float) -> BruteForceResult:
     return brute_force_batch([x], p)[0]
 
 
-def _search(target, p):
-    """Payoff and witness of the best chord found through the interior point ``target``."""
-    x, n = target / target.max(), 3 * SCAN_PER_SIDE
+def _search(targets, p):
+    """Payoffs and witnesses of the best chords found through the interior points ``targets``, one per row."""
+    x, n = (targets / targets.max(axis=1, keepdims=True)).T, 3 * SCAN_PER_SIDE
     with np.errstate(all="ignore"):  # a degenerate chord scores -inf
         far, score = _scan(x, p)
-        # peak k zooms in on the first ends [t_(k-1), t_(k+1)], k = 0 taken as n;
-        # the first round scores t_k itself, and each keeps its best to an ulp
-        peak = np.flatnonzero((score >= np.roll(score, 1)) & (score > np.roll(score, -1)))
-        k = np.where(peak == 0, n, peak)[np.argsort(-score[peak], kind="stable")[:PEAKS]]
-        ends = np.concatenate((far, far[:2] + 3.0))
-        zoomed = _zoom(x, (k - 1) / SCAN_PER_SIDE, (k + 1) / SCAN_PER_SIDE, ends[k - 1], ends[k + 1], p)
-        best = max(zip(*zoomed), default=(-np.inf, 0.0, 0.0), key=lambda chord: chord[0])
-        return _witness(target, best[1], best[2], p)
+        # a lane zooms in on one of a row's PEAKS best peaks k, over the first ends [t_(k-1),
+        # t_(k+1)] (k = 0 taken as n); its first round scores t_k, and each keeps its best to an ulp
+        peak = (score >= np.roll(score, 1, axis=1)) & (score > np.roll(score, -1, axis=1))
+        order = np.argsort(np.where(peak, -score, np.inf), axis=1, kind="stable")[:, :PEAKS]
+        row, rank = np.nonzero(np.take_along_axis(peak, order, axis=1))
+        k = np.where(order[row, rank] == 0, n, order[row, rank])
+        ends = np.concatenate((far, far[:, :2] + 3.0), axis=1)
+        a, b = (k - 1) / SCAN_PER_SIDE, (k + 1) / SCAN_PER_SIDE
+        # each row's first best lane; a row with no peak keeps the chord (0, 0), which no x meets
+        best = np.full((len(targets), PEAKS, 3), [-np.inf, 0.0, 0.0])
+        best[row, rank] = np.stack(_zoom(x[:, row], a, b, ends[row, k - 1], ends[row, k + 1], p), axis=1)
+        return [_witness(target, *lanes[np.argmax(lanes[:, 0]), 1:], p) for target, lanes in zip(targets, best)]
 
 
 def _witness(target, t1, t2, p):

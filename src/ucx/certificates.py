@@ -240,7 +240,7 @@ def midpoint_contraction(p: float, eps: float) -> VerificationReport:
     eps/||f|| is at least eps, and when its unit modulus 1 - u/||f|| meets
     delta, both within ``PAIR_RTOL`` relative.  The modulus is
     -expm1(log u - log ||f||), free of cancellation as eps -> 0: for p < 2,
-    p log ||f|| is the tangency equation's left side (``_log_mean_power``);
+    p log ||f|| is the tangency equation's left side, clamped to >= p log u;
     for p >= 2, ||f||^p = u**p + a**p, whose log is taken as
     max(x, y) + log1p(exp(-|x - y|)) with x = p log u and y = p log a, since
     u**p itself would carry p times the rounding of u.  Worst value is the
@@ -251,7 +251,7 @@ def midpoint_contraction(p: float, eps: float) -> VerificationReport:
     f, g = _extremal_pair(p, eps, d)
     log_u = -math.inf if d == 1.0 else math.log1p(-d)
     if p < 2.0:
-        log_norm = _log_mean_power(log_u, 0.5 * eps, p) / p
+        log_norm = max(_log_mean_power(log_u, 0.5 * eps, p) / p, log_u)
     else:
         x, y = p * log_u, (p * math.log(0.5 * eps) if 0.5 * eps > 0.0 else -math.inf)
         log_norm = (max(x, y) + math.log1p(math.exp(-abs(x - y)))) / p

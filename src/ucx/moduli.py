@@ -54,16 +54,17 @@ def _log_u(p: float, eps: float) -> float:
     ((u + a)**p + |u - a|**p)/2 = 1, whose left side increases in u.
     Hilbert space is the most uniformly convex, so delta_p <= delta_2 =
     1 - sqrt(1 - a**2) and L lies in the closed bracket [log1p(-a**2), 0].
-    The root solve runs until float64 has no midpoint left in the bracket.
-    eps = 2 gives L = -oo (delta = 1).  Where a**2 is below the smallest
-    normal float, so is delta, and L = 0 is returned.
+    The residual at L = 0, >= 0 by convexity, is clamped to >= 0: near p = 1
+    it can round below 0.  eps = 2 gives L = -oo (delta = 1).  Where a**2 is below
+    the smallest normal float, so is delta, and L = 0 is returned.
     """
     if eps == 2.0:
         return -math.inf
     a = 0.5 * eps
     if a * a < sys.float_info.min:
         return 0.0
-    return bisect_root(lambda L: _log_mean_power(L, a, p), math.log1p(-a * a), 0.0)
+    return bisect_root(lambda L: _log_mean_power(L, a, p) if L else max(_log_mean_power(L, a, p), 0.0),
+                       math.log1p(-a * a), 0.0)
 
 
 def _implicit_residual(d: float, p: float, eps: float) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -315,11 +317,11 @@ def same_result(a, b):
 
 
 def spy_scans(monkeypatch):
-    """Record the query of every scan of the search."""
+    """Record the queries of every scan of the search, one column of x each."""
     queries, scan = [], bellman._scan
 
     def spy(x, p):
-        queries.append(x.tolist())
+        queries.extend(x.T.tolist())
         return scan(x, p)
 
     monkeypatch.setattr(bellman, "_scan", spy)
@@ -373,19 +375,54 @@ class TestBatch:
 
     def test_work_stays_within_the_budget(self, monkeypatch):
         # a fixed budget of chords per query: one per scan point, then at most
-        # ZOOM per round of each of the PEAKS peaks, and one for the witness
+        # ZOOM per round of each of the PEAKS peaks, and one for the witness.
+        # A lockstep call scores one chord per entry of its payoffs
         p = 4.0
         points = slice_rows(p, 25)[1:-1]
         chords, chord = [], bellman._chord
 
         def spy(x, t1, t2, p):
-            chords.append(np.size(t1))
-            return chord(x, t1, t2, p)
+            scored = chord(x, t1, t2, p)
+            chords.append(np.size(scored[0]))
+            return scored
 
         monkeypatch.setattr(bellman, "_chord", spy)
         brute_force_batch(points, p)
         budget = 3 * bellman.SCAN_PER_SIDE + bellman.PEAKS * bellman.ZOOM * bellman.ZOOM_ROUNDS + 1
         assert 0 < sum(chords) <= len(points) * budget
+        # every row here has 2 scan peaks, and only real peaks are zoomed in on
+        assert sum(chords) == len(points) * (3 * bellman.SCAN_PER_SIDE + 2 * bellman.ZOOM * bellman.ZOOM_ROUNDS + 1)
+
+    @pytest.mark.parametrize("p", [1.04, 1.5, 2.0, 4.0])
+    def test_chunks_equal_one_call_per_point(self, p, monkeypatch):
+        # 23 interior slice rows, three chunks, with faces between them; each
+        # row has 2 scan peaks at p != 2 and 54 to 68 at p = 2, whose payoff
+        # is flat along the slice
+        points = slice_rows(p, 25)
+        points[9:9] = [LambdaPoint(1.0, 1.0, 0.0), LambdaPoint(2.0**p, 1.0, 1.0)]
+        single = [brute_force_bellman(x, p) for x in points]
+        for chunk in [3, bellman.CHUNK]:
+            monkeypatch.setattr(bellman, "CHUNK", chunk)
+            batch = brute_force_batch(points, p)
+            assert all(same_result(a, b) for a, b in zip(batch, single))
+        assert [len(r.witness.atoms) for r in batch].count(1) == 4
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_memory_stays_within_a_chunk(self, p):
+        # lockstep arrays are one chunk's whatever the batch size; only the
+        # results grow with it
+        points = [LambdaPoint(1.0, 1.0, (i + 0.5) * 2.0**p / 64) for i in range(64)]
+        assert len(points) >= 4 * bellman.CHUNK
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                brute_force_batch(batch, p)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(points) <= 1.25 * peak(points[:bellman.CHUNK])
 
     def test_slice_reaches_the_two_atom_optimum(self):
         # the slice of the p = 4 envelope benchmark: the value is 1 - x3/2^p,

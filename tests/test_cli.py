@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchors import DELTA_E1_P4, DELTA_P15_E1
+from helpers import delta_mpmath
 from ucx import bellman
 from ucx.cli import main
 
@@ -63,6 +64,18 @@ class TestTable:
         assert code == 0 and err == ""
         row = parse_csv(out)[0]
         assert float(row["cross_check_residual"]) == float(row["delta"]) > 0.0
+
+    @pytest.mark.parametrize("k", range(44, 53))
+    def test_p_near_one(self, k):
+        # at k = 52 and eps = 3e-7, 2e-6 or 1e-3 the tangency residual at
+        # delta = 0, >= 0 exactly, rounds below 0; delta, below 1e-21 there,
+        # reads 0.0, inside the accuracy contract's 2e-15 / (p - 1) relative
+        p = 1.0 + 2.0**-k
+        for eps in [3e-7, 2e-6, 1e-3, 0.1, 1.0, 1.9]:
+            code, out, err = run_cli(["table", "--p", repr(p), "--eps", repr(eps)])
+            assert code == 0 and err == "", (eps, err)
+            d, ref = float(parse_csv(out)[0]["delta"]), delta_mpmath(p, eps)
+            assert abs(d - ref) <= 2e-15 / (p - 1.0) * ref, (eps, d)
 
     def test_p4_closed_form(self):
         code, out, _ = run_cli(["table", "--p", "4", "--eps", "1"])
