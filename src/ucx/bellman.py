@@ -34,15 +34,16 @@ MOMENT_RTOL_MAX = 1e-9
 #: scan points per side of the hexagon of atom values (``_hexagon``), a power
 #: of two, so its corners t = 0, 1, 2 are scan points
 SCAN_PER_SIDE = 64
-#: scan peaks each query refines: near p = 1 the best chord's peak is narrow,
-#: and the scan can rank another above it
+#: scan peaks each query refines, one end of each chord the scan meets from both:
+#: near p = 1 the best chord's peak is narrow, and the scan can rank another above it
 PEAKS = 4
 #: first ends each round of zooming in on a peak scores, and the rounds: each shrinks
 #: the bracket 64-fold, from two cells to 2.9e-11; finer zooms round up past Hanner's value
 ZOOM = 129
 ZOOM_ROUNDS = 5
-#: queries searched in lockstep: numpy's per-call cost once a chunk, in bounded memory
-CHUNK = 6
+#: queries searched in lockstep: numpy's per-call cost once a chunk, in bounded memory.
+#: Off p = 2 a row zooms one lane, so 12 rows hold the zoom arrays of 6 rows of 2 lanes
+CHUNK = 12
 #: most false-position steps per chord end
 ROOT_STEPS = 40
 
@@ -225,9 +226,10 @@ def brute_force_batch(points: list[LambdaPoint], p: float) -> list[BruteForceRes
     collinear, and the one-atom pair is returned with no search.  An interior
     point is searched at x / max(x) by degree-1 homogeneity: a pair is a chord
     through x between two atoms' moment vectors, and its first end on the
-    hexagon of atom values fixes the rest.  The first end is scanned, and the
-    ``PEAKS`` best local maxima of the payoff are zoomed in on, ``CHUNK`` points
-    at a time in lockstep.  ``residual`` is the distance of the witness's
+    hexagon of atom values fixes the rest.  The first end is scanned, which
+    meets each chord from both its ends; of the local maxima of the payoff,
+    each chord keeps the end from which the zoom resolves it best, and the
+    ``PEAKS`` best left are zoomed in on, ``CHUNK`` points at a time in lockstep.  ``residual`` is the distance of the witness's
     moments m from x; its payoff is at most V(m), so it exceeds V(x) by at most
     the gradient of V times m - x.  The first point in input order outside the
     cone raises ``InfeasibleError``, one whose witness overflows float64 when
@@ -274,17 +276,33 @@ def _search(targets, p):
     x, n = (targets / targets.max(axis=1, keepdims=True)).T, 3 * SCAN_PER_SIDE
     with np.errstate(all="ignore"):  # a degenerate chord scores -inf
         far, score = _scan(x, p)
+        peak = (score >= np.roll(score, 1, axis=1)) & (score > np.roll(score, -1, axis=1))
+        # far ends of the scan points -1 to n + 1
+        ends = np.concatenate((far[:, -1:] - 3.0, far, far[:, :2] + 3.0), axis=1)
+        # the scan meets each chord from both its ends, and the zoom resolves it best from the end
+        # whose far end moves least across its scan cells; from the other it can miss it.  So a peak k
+        # goes when a peak j at or next to the scan point of k's far end, with k at or next to that
+        # of j's, has a far end that moves less (the lower index on a tie).  The far-end maps of a
+        # chord's two ends are inverse, so where the scan resolves them their moves multiply to
+        # (2 cells)^2; where the product exceeds 4 times that, or j's far end does not move
+        # forward, both stay.  That order is strict, so each row keeps a peak
+        move, cell = ends[:, 2:n + 2] - ends[:, :n], np.rint(far * SCAN_PER_SIDE).astype(int)
+        row, k = (i[:, None] for i in np.nonzero(peak))
+        j = (cell[row, k] + [-1, 0, 1]) % n
+        mk, mj = move[row, k], move[row, j]
+        partner = peak[row, j] & ((cell[row, j] - k + 1) % n <= 2)
+        beats = (mj > 0.0) & (mj * mk <= (4.0 / SCAN_PER_SIDE) ** 2) & ((mj < mk) | (mj == mk) & (j < k))
+        beaten = (partner & beats).any(axis=1)
+        peak[row[beaten], k[beaten]] = False
         # a lane zooms in on one of a row's PEAKS best peaks k, over the first ends [t_(k-1),
         # t_(k+1)] (k = 0 taken as n); its first round scores t_k, and each keeps its best to an ulp
-        peak = (score >= np.roll(score, 1, axis=1)) & (score > np.roll(score, -1, axis=1))
         order = np.argsort(np.where(peak, -score, np.inf), axis=1, kind="stable")[:, :PEAKS]
         row, rank = np.nonzero(np.take_along_axis(peak, order, axis=1))
         k = np.where(order[row, rank] == 0, n, order[row, rank])
-        ends = np.concatenate((far, far[:, :2] + 3.0), axis=1)
         a, b = (k - 1) / SCAN_PER_SIDE, (k + 1) / SCAN_PER_SIDE
         # each row's first best lane; a row with no peak keeps the chord (0, 0), which no x meets
         best = np.full((len(targets), PEAKS, 3), [-np.inf, 0.0, 0.0])
-        best[row, rank] = np.stack(_zoom(x[:, row], a, b, ends[row, k - 1], ends[row, k + 1], p), axis=1)
+        best[row, rank] = np.stack(_zoom(x[:, row], a, b, ends[row, k], ends[row, k + 2], p), axis=1)
         return [_witness(target, *lanes[np.argmax(lanes[:, 0]), 1:], p) for target, lanes in zip(targets, best)]
 
 

@@ -2,7 +2,8 @@
 
 One bracketing root solve, ``bisect_root``: Anderson-Bjorck false position
 with a bisection step whenever the bracket falls behind half the pace of
-plain bisection, so it never takes more than twice the evaluations plain
+plain bisection, and a secant step from the converging end after a bisection
+of the other, so it never takes more than twice the evaluations plain
 bisection takes and on smooth roots converges superlinearly.  It runs until
 float64 has no midpoint left in the bracket.  A pure function of its inputs
 and deterministic.
@@ -38,7 +39,12 @@ def bisect_root(fn: Func, lo: float, hi: float) -> float:
     bisects instead whenever the bracket is wider than plain bisection at
     half its pace would have left it, 2**(-k/2) of its first width after k
     steps.  So where plain bisection to the same bracket width takes n
-    evaluations this takes at most 2 n, and on smooth roots far fewer.  Steps
+    evaluations this takes at most 2 n, and on smooth roots far fewer.  Where
+    false position creeps up on the root from one end, only those bisections
+    move the other; the step after such a bisection follows the secant through
+    the converging end's last two points instead, if that lies inside the
+    bracket, and so crosses the root once that end converges; it takes no
+    bisection's place, so the bound above holds.  Steps
     stop once the bracket has no float64 midpoint left, and its midpoint is
     returned; the result is deterministic.
     """
@@ -59,11 +65,20 @@ def bisect_root(fn: Func, lo: float, hi: float) -> float:
     # the width plain bisection at half its pace would have left; finite, so
     # that a bracket wider than the largest float bisects first
     pace = min(hi - lo, sys.float_info.max)
+    # the end the last step that did not bisect moved and where it was before;
+    # whether a bisection then moved the other end
+    fp_lo = q = fq = None
+    crossing = False
     while lo < 0.5 * (lo + hi) < hi:  # until no float64 midpoint is left
-        if hi - lo > pace:
+        bisect = hi - lo > pace
+        if bisect:
             t = 0.5 * (lo + hi)
         else:
             t = lo + (hi - lo) * (flo / (flo - fhi))
+            if crossing:
+                e, fe = (lo, flo) if fp_lo else (hi, fhi)
+                s = e - fe * (e - q) / (fe - fq) if fe != fq else t
+                t = s if lo < s < hi else t
             if t <= lo:  # rounded onto an end: step in by one float
                 t = math.nextafter(lo, hi)
             elif t >= hi:
@@ -73,15 +88,20 @@ def bisect_root(fn: Func, lo: float, hi: float) -> float:
         if ft == 0.0:
             return t
         to_lo = (ft < 0.0) == lo_neg
+        crossing = bisect and fp_lo is not to_lo and fp_lo is not None
         if to_lo:
             if moved_lo is True:
                 m = 1.0 - ft / flo
                 fhi *= m if m > 0.0 else 0.5
+            if not bisect:
+                fp_lo, q, fq = True, lo, flo
             lo, flo = t, ft
         else:
             if moved_lo is False:
                 m = 1.0 - ft / fhi
                 flo *= m if m > 0.0 else 0.5
+            if not bisect:
+                fp_lo, q, fq = False, hi, fhi
             hi, fhi = t, ft
         moved_lo = to_lo
     return 0.5 * (lo + hi)

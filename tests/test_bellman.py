@@ -390,8 +390,28 @@ class TestBatch:
         brute_force_batch(points, p)
         budget = 3 * bellman.SCAN_PER_SIDE + bellman.PEAKS * bellman.ZOOM * bellman.ZOOM_ROUNDS + 1
         assert 0 < sum(chords) <= len(points) * budget
-        # every row here has 2 scan peaks, and only real peaks are zoomed in on
-        assert sum(chords) == len(points) * (3 * bellman.SCAN_PER_SIDE + 2 * bellman.ZOOM * bellman.ZOOM_ROUNDS + 1)
+        # every row here has 2 scan peaks, the two ends of one chord, which is zoomed in on once
+        assert sum(chords) == len(points) * (3 * bellman.SCAN_PER_SIDE + bellman.ZOOM * bellman.ZOOM_ROUNDS + 1)
+
+    @pytest.mark.parametrize("p", [1.04, 1.5, 2.0, 4.0])
+    def test_each_chord_is_zoomed_in_on_once(self, p, monkeypatch):
+        # off p = 2 a slice row's 2 scan peaks meet one chord from its two ends, and one lane
+        # zooms in on it; at p = 2 the payoff is flat along the slice, and a row keeps PEAKS lanes
+        lanes, zoom = [], bellman._zoom
+
+        def spy(x, *ends):
+            lanes.extend(map(tuple, x.T.tolist()))
+            return zoom(x, *ends)
+
+        monkeypatch.setattr(bellman, "_zoom", spy)
+        points = slice_rows(p, 25)[1:-1]
+        brute_force_batch(points, p)
+        per_row = [lanes.count(q) for q in dict.fromkeys(lanes)]
+        assert len(per_row) == len(points)
+        if p == 2.0:
+            assert max(per_row) <= bellman.PEAKS
+        else:
+            assert per_row == [1] * len(points)
 
     @pytest.mark.parametrize("p", [1.04, 1.5, 2.0, 4.0])
     def test_chunks_equal_one_call_per_point(self, p, monkeypatch):
@@ -468,6 +488,46 @@ class TestExact:
                 assert hanner_value(x.as_array(), p) - tol <= res.value <= hanner_value(m, p) + tol, (p, x)
                 count += 1
         assert count >= 200
+
+    def test_each_chord_from_its_better_end(self):
+        # the search zooms in on one end of each chord the scan meets from both; from the other
+        # end the zoom can land on a worse chord.  At p in [10, 30], off the plane, with p-th roots
+        # u1, u2 in [1/2, 1] and u3 inside their triangle, zooming from the lower scan index of
+        # a peak and the peak next to its far end falls up to 7.5e-11 short; zooming from both
+        # ends came within 6.5e-15
+        rng = np.random.default_rng(30)
+        for p in rng.uniform(10.0, 30.0, 4):
+            points = []
+            while len(points) < 40:
+                u1, u2 = rng.uniform(0.5, 1.0, 2)
+                u3 = abs(u1 - u2) + (u1 + u2 - abs(u1 - u2)) * rng.uniform(0.1, 0.9)
+                x = np.roll([u1, u2, u3], rng.integers(3)) ** p
+                if x[0] != x[1]:
+                    points.append(LambdaPoint(*x))
+            for x, res in zip(points, brute_force_batch(points, p)):
+                exact = float(hanner_value(x.as_array(), p))
+                assert abs(res.value - exact) <= 1e-14 * exact, (p, x)
+        # points where one part of the rule matters, with what falls short without it:
+        # - p = 27.97 and 491.7: a peak sits next to the far end of another but not the other
+        #   way round, so they are two chords; dropping the one with the higher scan index
+        #   falls 2.7e-11 short, and dropping peak 72 at p = 491.7 lands 22 orders short;
+        # - p = 60.6 and 83.9: the end with the higher scan payoff has the steeper far end;
+        #   zooming from it alone lands on 7e-95 for 9.7e-4 and on 1e-34 for 5.7e-31;
+        # - p = 863.5: keeping the lower index of a resolved pair, not the flatter far end,
+        #   falls 3.6e-9 short;
+        # - p = 618.5 and 1e7: far ends the scan does not resolve as inverse maps (2.2 and 95
+        #   cells; a whole side each); zooming from the flatter alone falls 1.3e-9 and 2.9e-5 short
+        for p, x, rtol in [
+            (27.967403238704676, (0.9654293488819077, 0.5440609667239762, 0.017215308147325532), 1e-14),
+            (491.68393664243877, (6.802846974001163e-103, 1.9935928083361042e-75, 1.0428833816325757e60), 1e-9),
+            (60.6190683983187, (0.001963051961765572, 0.0018805597890658645, 1682324095691515.2), 1e-14),
+            (83.92342485775568, (2.3431183117318853e-20, 2.000455203630806e-41, 0.0003881601516990815), 1e-11),
+            (863.4811838872816, (1.0755995587890475e-178, 8.696943261975551e-74, 2.1124949963989206e66), 1e-12),
+            (618.5256101722737, (8.347877132681615e-07, 3.189655562977437e-10, 3.1493280967886345e169), 1e-12),
+            (1e7, (0.3, 0.9, 0.5), 1e-9),
+        ]:
+            exact = float(hanner_value(x, p))
+            assert abs(brute_force_bellman(LambdaPoint(*x), p).value - exact) <= rtol * exact, p
 
     def test_short_chord_within_one_scan_cell(self):
         # the best chord's ends lie 0.025 apart, and the far end of the scan

@@ -142,6 +142,23 @@ class TestEvaluationCount:
             getattr(moduli, route)(p, eps)
         assert calls[0] / len(points) <= 12.0, calls[0] / len(points)
 
+    @pytest.mark.parametrize("p, eps", [(1.471, 1.8868), (1.9, 1.99)])
+    def test_the_end_at_zero_is_crossed(self, monkeypatch, p, eps):
+        # above eps = 2^(1/p) false position creeps up on the root from below, and
+        # only the pace rule's bisections move the bracket end at L = 0; the
+        # secant step from the converging end that follows each one crosses the
+        # root.  27 evaluations at both points without it, 14 and 11 with it
+        calls = [0]
+        inner = moduli._log_mean_power
+
+        def counted(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(moduli, "_log_mean_power", counted)
+        assert delta(p, eps) == pytest.approx(float(delta_mpmath(p, eps)), rel=1e-14)
+        assert calls[0] <= 14, calls[0]
+
 
 class TestInvariants:
     @pytest.mark.parametrize("p", [1.1, 1.3, 1.5, 1.7, 1.9])
