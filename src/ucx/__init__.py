@@ -26,7 +26,7 @@ from .certificates import (
 )
 from .domain import BoundaryFace, LambdaPoint, contains
 from .envelope import EnvelopeQuery, ObstacleGrid, concavify, sample_boundary
-from .moduli import delta, delta_implicit
+from .moduli import delta, implicit_correction
 from .numerics import bisect_root
 
 __all__ = [
@@ -45,8 +45,8 @@ __all__ = [
     "concavify",
     "contains",
     "delta",
-    "delta_implicit",
     "format_witness",
+    "implicit_correction",
     "midpoint_contraction",
     "moment",
     "payoff",

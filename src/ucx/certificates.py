@@ -129,14 +129,11 @@ def _monotonicity_witness(s: np.ndarray, p: float) -> np.ndarray:
     return 1.0 - (s - 1.0) ** (p - 1.0) - 2.0 * (1.0 - s / 2.0) ** (p - 1.0)
 
 
-def _report_min(claim: str, s: np.ndarray, vals: np.ndarray, tol: float) -> VerificationReport:
-    i = int(np.argmin(vals))
-    return VerificationReport(claim, len(s), float(vals[i]), float(s[i]), bool(vals[i] >= -tol))
-
-
-def _report_max(claim: str, s: np.ndarray, vals: np.ndarray, tol: float) -> VerificationReport:
-    i = int(np.argmax(vals))
-    return VerificationReport(claim, len(s), float(vals[i]), float(s[i]), bool(vals[i] <= tol))
+def _report(claim: str, at: np.ndarray, vals: np.ndarray, tol: float, upper: bool) -> VerificationReport:
+    """The claim vals <= tol (``upper``) or vals >= -tol, judged at its worst sample."""
+    i = int(np.argmax(vals) if upper else np.argmin(vals))
+    passed = vals[i] <= tol if upper else vals[i] >= -tol
+    return VerificationReport(claim, len(at), float(vals[i]), float(at[i]), bool(passed))
 
 
 def verify_appendix(p: float, eps: float | None, grid_n: int) -> list[VerificationReport]:
@@ -177,17 +174,17 @@ def verify_appendix(p: float, eps: float | None, grid_n: int) -> list[Verificati
 
     tau = np.linspace(0.0, 1.0, 2 * grid_n - 1)
     x, f, fp, den = section_profile(tau, p)
-    reports = [_report_min("majorant-slice-gap", tau, cert.value(x) - f, 1e-12)]
+    reports = [_report("majorant-slice-gap", tau, cert.value(x) - f, 1e-12, upper=False)]
 
     if ge2:
         sw = np.linspace(1.0, 2.0, grid_n)
         wit = _monotonicity_witness(sw, p)
-        reports.append(_report_min("w-nonneg", sw, wit, 1e-12))
+        reports.append(_report("w-nonneg", sw, wit, 1e-12, upper=False))
         d2 = wit[2:] - 2.0 * wit[1:-1] + wit[:-2]
         tol_cc = 1e-9 * max(1.0, float(np.abs(wit).max()))
-        reports.append(_report_max("w-concave", sw[1:-1], d2, tol_cc))
+        reports.append(_report("w-concave", sw[1:-1], d2, tol_cc, upper=True))
         end_devs = np.array([abs(wit[0] - (1.0 - 2.0 ** (2.0 - p))), abs(wit[-1])])
-        reports.append(_report_max("w-endpoints", sw[[0, -1]], end_devs, 1e-12))
+        reports.append(_report("w-endpoints", sw[[0, -1]], end_devs, 1e-12, upper=True))
     else:
         j = int(np.argmin(den))
         # 1 + g' = 0 exactly at tau = 0; strict positivity applies beyond it
@@ -199,7 +196,7 @@ def verify_appendix(p: float, eps: float | None, grid_n: int) -> list[Verificati
         t_in = tau[1:]
         ratio = fp[1:] / den[1:]
         # each difference is reported at the left end of its step
-        reports.append(_report_max("slope-ratio-decreasing", t_in, np.diff(ratio), 1e-12))
+        reports.append(_report("slope-ratio-decreasing", t_in, np.diff(ratio), 1e-12, upper=True))
 
         # the payoff root of the tangency point, roots (1, |1 - w|, w)
         tau_star = 1.0 - 0.5 * cert.w if cert.w <= 1.0 else 1.0 / cert.w - 0.5
@@ -207,10 +204,10 @@ def verify_appendix(p: float, eps: float | None, grid_n: int) -> list[Verificati
         rhs = cert.c[0] - ratio
         # 0.0 - rhs, not -rhs: a root of rhs past the tangency reports +0.0
         viol = np.where(t_in < tau_star - band, rhs, np.where(t_in > tau_star + band, 0.0 - rhs, -np.inf))
-        reports.append(_report_max("gap-derivative-sign", t_in, viol, 1e-12))
+        reports.append(_report("gap-derivative-sign", t_in, viol, 1e-12, upper=True))
 
     slope = f * den - fp * (x[:, 0] + x[:, 1])
-    reports.append(_report_max("x3-slope-nonpositive", tau, slope, 1e-12))
+    reports.append(_report("x3-slope-nonpositive", tau, slope, 1e-12, upper=True))
     return reports
 
 
@@ -289,5 +286,4 @@ def sharpness_check(p: float, eps: float | None = None) -> VerificationReport:
     roots = np.abs([f, g, f - g, 0.5 * (f + g)])
     roots /= roots[:3].max(axis=0)
     gap = np.abs(roots[3] ** p - cert.value((roots[:3] ** p).T))
-    i = int(np.argmax(gap))
-    return VerificationReport("chord-equality", 2, float(gap[i]), float(i), bool(gap[i] <= 1e-10))
+    return _report("chord-equality", np.array([0.0, 1.0]), gap, 1e-10, upper=True)

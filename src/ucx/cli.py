@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Four subcommands: ``table`` (modulus values with cross-check residuals),
-``verify`` (appendix scans, the chord and the extremal pair as pass/fail
-report lines), ``envelope`` (slice reconstruction CSV with certificate and
-brute-force columns), and ``bruteforce`` (a single search probe).
+Four subcommands: ``table`` (modulus values, each with the Newton step of
+the implicit equation at it as a cross-check), ``verify`` (appendix scans,
+the chord and the extremal pair as pass/fail report lines), ``envelope``
+(slice reconstruction CSV with certificate and brute-force columns), and
+``bruteforce`` (a single search probe).
 
 Exit codes: 0 success, 1 a mathematical verification failed, 2 usage error.
 Floats are printed with shortest round-trip repr, and nothing is random, so
@@ -20,7 +21,7 @@ import sys
 from . import bellman, certificates, envelope
 from .domain import LambdaPoint
 from .errors import UcxError
-from .moduli import delta, delta_implicit
+from .moduli import delta, implicit_correction
 
 
 #: how far ``envelope``'s search may exceed the envelope before a row breaks the sandwich
@@ -85,7 +86,7 @@ def cmd_table(args) -> int:
         # the p < 2 route keeps its printed label "s_star": benchmarks/checks.py checks it
         route = "closed_form" if p >= 2.0 else "s_star"
         # the implicit equation holds for p <= 2 only; past 2 there is nothing to cross-check
-        residual = 0.0 if p > 2.0 else abs(d - delta_implicit(p, e))
+        residual = 0.0 if p > 2.0 else implicit_correction(p, e, d)
         rows.append(
             {"p": p, "eps": e, "delta": d, "route": route, "cross_check_residual": residual}
         )

@@ -5,12 +5,12 @@ from one tangency on the boundary slice, and ``delta`` solves for its one
 unknown, u = 1 - delta, through L = log(1 - delta), over the closed bracket
 [log1p(-eps^2/4), 0] that delta_p <= delta_2 gives, in a form free of
 cancellation; delta = -expm1(L) then keeps full relative accuracy as
-eps -> 0.  Independently, ``delta_implicit`` solves the implicit two-term
-power equation in delta itself.  The two equations are one under
-u = 1 - delta, which is the main cross-check exploited by the tests.  Both
-roots come from ``numerics.bisect_root`` (Anderson-Bjorck false position,
-never more than twice the evaluations of plain bisection), run until float64
-has no midpoint left in the bracket.
+eps -> 0.  The root comes from ``numerics.bisect_root`` (Anderson-Bjorck
+false position, never more than twice the evaluations of plain bisection),
+run until float64 has no midpoint left in the bracket.  Under u = 1 - delta
+the tangency equation is the implicit two-term power equation in delta
+itself, and ``implicit_correction`` measures a given delta against that
+equation by one Newton step, with no second solve.
 """
 
 from __future__ import annotations
@@ -67,34 +67,32 @@ def _log_u(p: float, eps: float) -> float:
                        math.log1p(-a * a), 0.0)
 
 
-def _implicit_residual(d: float, p: float, eps: float) -> float:
-    """(1-d+e/2)**p + |1-d-e/2|**p - 2, strictly decreasing in d on [0, 1]."""
-    return (1.0 - d + eps / 2.0) ** p + abs(1.0 - d - eps / 2.0) ** p - 2.0
+def implicit_correction(p: float, eps: float, d: float) -> float:
+    """|R(d) / R'(d)|, the Newton step of the implicit equation R = 0 at d, for 1 < p <= 2.
 
-
-def delta_implicit(p: float, eps: float) -> float:
-    """The unique delta in [0, 1] with (1-d+e/2)**p + |1-d-e/2|**p = 2.
-
-    The left side is strictly decreasing in delta, so the residual changes
-    sign once on [0, 1]; ``bisect_root`` (Anderson-Bjorck false position, at
-    most twice the evaluations of plain bisection) runs until float64 has no
-    midpoint left in the bracket.  Valid for 1 < p <= 2; the endpoints
-    delta(0) = 0 and delta(2) = 1 are returned exactly.  At d = 0 the residual
-    is about p (p-1) eps**2 / 4, and for eps below about 1e-7 float64 can
-    round it to 0 or below; the true residual is then below about 1.3e-15 and
-    its slope about -2 p, so the root is below 1e-15 and 0.0 is returned.
+    R(d) = (1-d+a)**p + |1-d-a|**p - 2 with a = eps/2 is strictly decreasing
+    in d on [0, 1] and vanishes at delta_p(eps), so to first order the step
+    is the distance from d to that root.  -R'/p = x**(p-1) + sign(y) |y|**(p-1)
+    with x = 1-d+a and y = 1-d-a; for y < 0 it is taken as
+    -x**(p-1) expm1((p-1) log(-y/x)), which keeps its digits as p -> 1.
+    Where R rounds to 0 (at eps = 0, and at eps = 2 with d = 1) the step is
+    0.0; where R' vanishes (d = 1 at eps < 2) it is inf.
     """
     p = check_exponent(p)
     eps = check_eps(eps)
     if p > 2.0:
         raise DomainError(f"implicit equation requires 1 < p <= 2, got p={p}")
-    if eps == 0.0:
+    if not 0.0 <= d <= 1.0:
+        raise DomainError(f"d must lie in [0, 1], got {d!r}")
+    x, y = 1.0 - d + 0.5 * eps, 1.0 - d - 0.5 * eps
+    r = x**p + abs(y) ** p - 2.0
+    if r == 0.0:
         return 0.0
-    if eps == 2.0:
-        return 1.0
-    if _implicit_residual(0.0, p, eps) <= 0.0:
-        return 0.0
-    return bisect_root(lambda d: _implicit_residual(d, p, eps), 0.0, 1.0)
+    if y >= 0.0:
+        slope = p * (x ** (p - 1.0) + y ** (p - 1.0))
+    else:
+        slope = -p * x ** (p - 1.0) * math.expm1((p - 1.0) * math.log(-y / x))
+    return abs(r) / slope if slope else math.inf
 
 
 def delta(p: float, eps: float) -> float:

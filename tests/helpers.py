@@ -11,6 +11,7 @@ from ucx.bellman import WEIGHT_TOL
 from ucx.domain import BoundaryFace, LambdaPoint, check_exponent, contains
 from ucx.envelope import ObstacleGrid
 from ucx.errors import DomainError, UcxError
+from ucx.numerics import bisect_root
 
 
 class NotOnBoundaryError(UcxError):
@@ -161,6 +162,29 @@ def contract_points():
         p = rng.uniform(1.01, 2.0)
         points += [(p, 2.0 ** (1.0 / p) * (1.0 + k)) for k in (0.0, 1e-12, -1e-9)]
     return points
+
+
+def implicit_residual(d, p, eps):
+    """(1-d+e/2)**p + |1-d-e/2|**p - 2, strictly decreasing in d on [0, 1]."""
+    return (1.0 - d + eps / 2.0) ** p + abs(1.0 - d - eps / 2.0) ** p - 2.0
+
+
+def delta_implicit(p, eps):
+    """The unique delta in [0, 1] with (1-d+e/2)**p + |1-d-e/2|**p = 2, for 1 < p <= 2.
+
+    A float solve in d: the tests' float reference for ``ucx.moduli.delta``,
+    which solves the same equation in log(1 - delta).  The endpoints delta(0) = 0 and
+    delta(2) = 1 are returned exactly.  At d = 0 the residual is about
+    p (p-1) eps**2 / 4, and for eps below about 1e-7 float64 can round it to
+    0 or below; the true root is then below 1e-15 and 0.0 is returned.
+    """
+    if eps == 0.0:
+        return 0.0
+    if eps == 2.0:
+        return 1.0
+    if implicit_residual(0.0, p, eps) <= 0.0:
+        return 0.0
+    return bisect_root(lambda d: implicit_residual(d, p, eps), 0.0, 1.0)
 
 
 def delta_mpmath(p, eps):

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from anchors import DELTA_P15_E1, S_STAR_P15_E1
-from helpers import StepFunction, boundary_profile, hanner_gap, slice_lower_bound, slice_point
+from helpers import StepFunction, boundary_profile, delta_implicit, hanner_gap, slice_lower_bound, slice_point
 from ucx.bellman import brute_force_bellman
 from ucx.certificates import certificate, midpoint_contraction, sharpness_check, verify_appendix
 from ucx.cli import main as cli_main
 from ucx.domain import LambdaPoint
 from ucx.envelope import concavify, sample_boundary
-from ucx.moduli import delta, delta_implicit
+from ucx.moduli import delta
 
 
 class Stopwatch:

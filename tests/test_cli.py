@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from anchors import DELTA_E1_P4, DELTA_P15_E1
 from helpers import delta_mpmath
-from ucx import bellman
+from ucx import bellman, moduli, numerics
 from ucx.cli import main
 
 
@@ -59,11 +59,40 @@ class TestTable:
 
     @pytest.mark.parametrize("p, eps", [("2", "3e-9"), ("1.0425836237757702", "1.537179516623108e-08")])
     def test_implicit_root_below_rounding(self, p, eps):
-        # the implicit residual at delta = 0 rounds to <= 0, and the cross-check returns 0
+        # 1 - delta rounds to 1, so the implicit residual at the printed delta is
+        # a rounding of 2, and the Newton step is that over the slope, about 2 p
         code, out, err = run_cli(["table", "--p", p, "--eps", eps])
         assert code == 0 and err == ""
         row = parse_csv(out)[0]
-        assert float(row["cross_check_residual"]) == float(row["delta"]) > 0.0
+        assert 0.0 < float(row["delta"]) < 1e-15
+        assert float(row["cross_check_residual"]) <= 2.0**-52 / float(p)
+
+    @pytest.mark.parametrize("p", ["1.01", "1.5", "1.99"])
+    def test_no_false_alarm_next_to_eps_two(self, p):
+        # the accuracy contract's points nearest eps = 2, where delta equals the
+        # root to all digits; a second float solve of the implicit equation
+        # missed it by 1.23e-8 at p = 1.01
+        code, out, err = run_cli(["table", "--p", p, "--eps", repr(2.0 - 4e-16)])
+        assert code == 0 and err == ""
+        row = parse_csv(out)[0]
+        ref = delta_mpmath(float(p), 2.0 - 4e-16)
+        assert abs(float(row["delta"]) - ref) <= 1e-12 * ref
+        assert float(row["cross_check_residual"]) <= 1e-8
+
+    def test_one_root_solve_per_row(self, monkeypatch):
+        calls = [0]
+        inner = numerics.bisect_root
+
+        def counted(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        # every binding of the solver in the package: its own and the one moduli imports
+        for module in (numerics, moduli):
+            monkeypatch.setattr(module, "bisect_root", counted)
+        code, out, _ = run_cli(["table", "--p", "1.5", "--eps", "0.1:1.9:7"])
+        assert code == 0 and len(parse_csv(out)) == 7
+        assert calls[0] == 7
 
     @pytest.mark.parametrize("k", range(44, 53))
     def test_p_near_one(self, k):

@@ -17,7 +17,7 @@ from ucx.certificates import Certificate, certificate, midpoint_contraction, sha
 from ucx.domain import LambdaPoint, contains
 from ucx.envelope import concavify, sample_boundary
 from ucx.errors import UcxError
-from ucx.moduli import delta, delta_implicit
+from ucx.moduli import delta, implicit_correction
 
 NAN, INF = math.nan, math.inf
 
@@ -26,7 +26,7 @@ def _calls(p, eps, x):
     """Each public entry point at one drawn input, on small grids."""
     return {
         "delta": lambda: delta(p, eps),
-        "delta_implicit": lambda: delta_implicit(p, eps),
+        "implicit_correction": lambda: implicit_correction(p, eps, 0.5),
         "certificate": lambda: certificate(p, eps),
         "verify_appendix": lambda: verify_appendix(p, eps, 11),
         "sharpness_check": lambda: sharpness_check(p, eps),

@@ -14,11 +14,11 @@ from anchors import (
     DELTA_TINY_CORNERS,
     S_STAR_P15_E1,
 )
-from helpers import contract_points, delta_mpmath
+from helpers import contract_points, delta_implicit, delta_mpmath, implicit_residual
 from ucx import moduli
 from ucx.certificates import certificate
 from ucx.errors import DomainError
-from ucx.moduli import delta, delta_implicit
+from ucx.moduli import delta, implicit_correction
 
 
 def slice_residual(p, eps, w):
@@ -91,16 +91,6 @@ class TestDeltaRoutes:
     def test_via_s_star_degenerate_limit(self):
         assert delta(1.5, 1e-4) < 1e-4
 
-    def test_implicit_endpoints_exact(self):
-        assert delta_implicit(1.5, 2.0) == 1.0
-        assert delta_implicit(1.5, 0.0) == 0.0
-
-    def test_implicit_agrees_with_s_star_route(self):
-        assert delta_implicit(1.5, 1.0) == pytest.approx(delta(1.5, 1.0), abs=1e-9)
-
-    def test_implicit_p2_matches_closed_form(self):
-        assert delta_implicit(2.0, 1.0) == pytest.approx(DELTA_E1_P2, abs=1e-10)
-
     def test_dispatcher(self):
         for p in [1.3, 2.0, 5.0]:
             assert delta(p, 0.0) == 0.0
@@ -115,19 +105,51 @@ class TestImplicitTinyEps:
 
     @pytest.mark.parametrize("p, eps", POINTS)
     def test_root_below_rounding_is_zero(self, p, eps):
-        assert moduli._implicit_residual(0.0, p, eps) <= 0.0
-        assert delta_implicit(p, eps) == 0.0
+        assert implicit_residual(0.0, p, eps) <= 0.0
         assert 0.0 < delta(p, eps) < 1e-15
+
+
+class TestImplicitCorrection:
+    """The Newton step of the implicit equation at a given delta, ``table``'s cross-check column."""
+
+    def test_zero_where_the_residual_is(self):
+        assert implicit_correction(1.5, 0.0, 0.0) == 0.0
+        assert implicit_correction(1.5, 2.0, 1.0) == 0.0
+        assert implicit_correction(2.0, 2.0, 1.0) == 0.0
+
+    def test_infinite_where_the_slope_vanishes(self):
+        # the residual is even in u = 1 - d, so its slope is 0 at d = 1
+        assert implicit_correction(1.5, 1.0, 1.0) == math.inf
+
+    @pytest.mark.parametrize("p, eps, d", [
+        (2.5, 1.0, 0.1), (1.5, 2.5, 0.1), (1.5, 1.0, -0.1), (1.5, 1.0, 1.5), (1.5, 1.0, math.nan),
+    ])
+    def test_bad_input_rejected(self, p, eps, d):
+        with pytest.raises(DomainError):
+            implicit_correction(p, eps, d)
+
+    def test_rounding_level_at_the_contract_points(self):
+        # delta is within 1e-12 relative of the root there; measured at most 3.9e-16
+        worst = max((implicit_correction(p, eps, delta(p, eps)), p, eps) for p, eps in contract_points())
+        assert worst[0] <= 1e-15, worst
+
+    def test_reads_a_moved_delta(self):
+        # delta moved by 1e-6 relative, each way that stays in [0, 1]: to first
+        # order the step is the move; measured 0.51 to 1.09 times it
+        ratios = []
+        for p, eps in contract_points():
+            d = delta(p, eps)
+            if 1e-6 < d < 1.0:
+                ratios += [implicit_correction(p, eps, moved) / abs(moved - d)
+                           for moved in (d * (1.0 - 1e-6), d * (1.0 + 1e-6)) if moved <= 1.0]
+        assert len(ratios) > 200 and 0.3 <= min(ratios) and max(ratios) <= 1.2, (min(ratios), max(ratios))
 
 
 class TestEvaluationCount:
     """Counted, not timed: the mean residual evaluations per call over the
     accuracy contract's points, the solve and every check before it included."""
 
-    @pytest.mark.parametrize("route, residual", [
-        ("delta", "_log_mean_power"),
-        ("delta_implicit", "_implicit_residual"),
-    ])
+    @pytest.mark.parametrize("route, residual", [("delta", "_log_mean_power")])
     def test_mean_evaluations_per_call(self, monkeypatch, route, residual):
         calls = [0]
         inner = getattr(moduli, residual)
