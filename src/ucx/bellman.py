@@ -102,8 +102,8 @@ class BruteForceResult:
 
 
 def _moments(f, g, p):
-    """Moment vectors (|f|^p, |g|^p, |f-g|^p) on a new first axis."""
-    return np.stack([np.abs(f) ** p, np.abs(g) ** p, np.abs(f - g) ** p])
+    """Moments (|f|^p, |g|^p, |f-g|^p) as three arrays, which the search indexes: stacked, each step would copy them."""
+    return np.abs(f) ** p, np.abs(g) ** p, np.abs(f - g) ** p
 
 
 def _payoffs(f, g, p):
@@ -120,29 +120,40 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+def _mod3(t):
+    """t mod 3 for t in [0, 9), bit for bit ``np.mod(t, 3.0)`` at a fraction of its cost.
+
+    t - 3 on [3, 6] and t - 6 on [6, 12] are exact (Sterbenz).  The search
+    passes t in [0, 6.1): its first ends lie in [0, 3 + 1/64], and far ends
+    at most 3 past them.
+    """
+    return t - np.where(t >= 3.0, np.where(t >= 6.0, 6.0, 3.0), 0.0)
+
+
 def _hexagon(t, p):
     """Atom values (f, g) at t on the hexagon max(|f|, |g|, |f - g|) = 1 and their moments.
 
     Its sides are (1, t), (2 - t, 1) and (2 - t, 3 - t) for t in [0, 1],
-    [1, 2] and [2, 3], with period 3 (``np.mod`` of t >= 0 is exact): (f, g)
-    and (-f, -g) are one atom.  Every atom is a positive multiple of one of
-    these, each with largest moment 1, so none overflows.
+    [1, 2] and [2, 3], with period 3 (``_mod3``, for the search's t in
+    [0, 6.1)): (f, g) and (-f, -g) are one atom.  Every atom is a positive
+    multiple of one of these, each with largest moment 1, so none overflows.
     """
-    t = np.mod(t, 3.0)
+    t = _mod3(t)
     f, g = np.minimum(1.0, 2.0 - t), np.minimum(np.minimum(t, 1.0), 3.0 - t)
     return f, g, _moments(f, g, p)
 
 
-def _chord(x, t1, t2, p):
-    """Payoff and weights (a1, a2) of the chord between the atoms at t1 and t2 through x.
+def _chord(x, end1, end2, p):
+    """Payoff and weights (a1, a2) of the chord through x between two hexagon points (f, g, moments).
 
-    a1 v1 + a2 v2 = x is solved by cross products with v1 x v2.  A negative
-    weight, or moments off x by more than p ``MOMENT_RTOL`` (at most
-    ``MOMENT_RTOL_MAX``) relative to each moment or to max(x1, x2), which bounds
-    the payoff, scores -inf: the p-th powers multiply the ends' rounding by p.
+    The ends are ``_hexagon``'s points, computed once by the caller: the scan
+    and the zoom score the ends they found the far ends from.  a1 v1 + a2 v2 = x
+    is solved by cross products with v1 x v2.  A negative weight, or moments
+    off x by more than p ``MOMENT_RTOL`` (at most ``MOMENT_RTOL_MAX``) relative
+    to each moment or to max(x1, x2), which bounds the payoff, scores -inf:
+    the p-th powers multiply the ends' rounding by p.
     """
-    f1, g1, v1 = _hexagon(t1, p)
-    f2, g2, v2 = _hexagon(t2, p)
+    (f1, g1, v1), (f2, g2, v2) = end1, end2
     n = _cross(v1, v2)
     a1, a2 = _dot(_cross(x, v2), n) / _dot(n, n), _dot(_cross(v1, x), n) / _dot(n, n)
     tol = min(MOMENT_RTOL * p, MOMENT_RTOL_MAX) * np.maximum(x, np.maximum(x[0], x[1]))
@@ -151,18 +162,20 @@ def _chord(x, t1, t2, p):
     return np.where(feasible, a1 * _payoffs(f1, g1, p) + a2 * _payoffs(f2, g2, p), -np.inf), (a1, a2)
 
 
-def _far_end(x, t1, lo, hi, p):
-    """Far end in [lo, hi] of the chord from t1 through x: the root of det(v(t1), x, v(t)).
+def _far_end(t1, normal, lo, hi, p):
+    """Far end in [lo, hi] of the chord from t1 through x, and its hexagon point: the root of det(v(t1), x, v(t)).
 
-    The boundary winds once around x in the direction of t, so on (t1, t1 + 3)
-    the determinant is negative up to the far end and positive after it.
-    False position with the Illinois step, clamped into the bracket.  At t1
-    and t1 + 3, where it is 0 up to rounding, an end takes minus the other
-    end's value, so the first step bisects; elsewhere an end at 0 or on the
-    wrong side is the root (a neighbour's far end brackets it up to
-    rounding).  A row stops once its step lands on an end or hits 0.
+    ``normal`` is v(t1) x x.  The boundary winds once around x in the
+    direction of t, so on (t1, t1 + 3) the determinant is negative up to the
+    far end and positive after it.  False position with the Illinois step,
+    clamped into the bracket.  At t1 and t1 + 3, where it is 0 up to
+    rounding, an end takes minus the other end's value, so the first step
+    bisects; elsewhere an end at 0 or on the wrong side is the root (a
+    neighbour's far end brackets it up to rounding).  A row stops once its
+    step lands on an end or hits 0.  Every step evaluates the hexagon at all
+    of t, so the last one's (f, g, moments) is the far end's point, and
+    ``_chord`` takes it as is.
     """
-    normal = _cross(_hexagon(t1, p)[2], x)
     flo, fhi = _dot(normal, _hexagon(lo, p)[2]), _dot(normal, _hexagon(hi, p)[2])
     flo = np.where(lo == t1, -fhi, flo)
     fhi = np.where(hi == t1 + 3.0, -flo, fhi)
@@ -170,7 +183,8 @@ def _far_end(x, t1, lo, hi, p):
     kept = np.zeros(np.shape(t))  # -1 after lo moved, 1 after hi moved
     for _ in range(ROOT_STEPS):
         t = np.where(done, t, np.fmin(np.fmax(lo + (hi - lo) * (flo / (flo - fhi)), lo), hi))
-        ft = _dot(normal, _hexagon(t, p)[2])
+        end = _hexagon(t, p)
+        ft = _dot(normal, end[2])
         done |= (t == lo) | (t == hi) | (ft == 0.0)
         if done.all():
             break
@@ -179,7 +193,7 @@ def _far_end(x, t1, lo, hi, p):
         lo, flo = np.where(left, t, lo), np.where(left, ft, flo)
         hi, fhi = np.where(left, hi, t), np.where(left, fhi, ft)
         kept = np.where(left, -1.0, 1.0)
-    return t
+    return t, end
 
 
 def _scan(x, p):
@@ -190,15 +204,16 @@ def _scan(x, p):
     """
     n = 3 * SCAN_PER_SIDE
     x, t = x[:, :, None], np.arange(n) / SCAN_PER_SIDE
-    v = _hexagon(t, p)[2]
+    start = _hexagon(t, p)
+    v = np.stack(start[2])
     normal, t = _cross(v, x), t[None]
     lo, hi = np.zeros(normal[0].shape, dtype=int), np.full(normal[0].shape, n)
     while (hi - lo > 1).any():
         mid = (lo + hi) // 2
         left = (mid == 0) | (_dot(normal, v[:, (np.arange(n) + mid) % n]) < 0.0)
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
-    far = _far_end(x, t, t + lo / SCAN_PER_SIDE, t + hi / SCAN_PER_SIDE, p)
-    return far, _chord(x, t, far, p)[0]
+    far, end = _far_end(t, normal, t + lo / SCAN_PER_SIDE, t + hi / SCAN_PER_SIDE, p)
+    return far, _chord(x, start, end, p)[0]
 
 
 def _zoom(x, a, b, ra, rb, p):
@@ -211,8 +226,9 @@ def _zoom(x, a, b, ra, rb, p):
     lanes, x = np.arange(len(a)), x[:, :, None]
     for _ in range(ZOOM_ROUNDS):
         t1 = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, ZOOM)
-        far = _far_end(x, t1, np.maximum(ra[:, None], t1), np.minimum(rb[:, None], t1 + 3.0), p)
-        score = _chord(x, t1, far, p)[0]
+        start = _hexagon(t1, p)
+        far, end = _far_end(t1, _cross(start[2], x), np.maximum(ra[:, None], t1), np.minimum(rb[:, None], t1 + 3.0), p)
+        score = _chord(x, start, end, p)[0]
         k = np.argmax(score, axis=1)
         a, b = t1[lanes, np.maximum(k - 1, 0)], t1[lanes, np.minimum(k + 1, ZOOM - 1)]
         ra, rb = far[lanes, np.maximum(k - 1, 0)], far[lanes, np.minimum(k + 1, ZOOM - 1)]
@@ -303,23 +319,36 @@ def _search(targets, p):
         # each row's first best lane; a row with no peak keeps the chord (0, 0), which no x meets
         best = np.full((len(targets), PEAKS, 3), [-np.inf, 0.0, 0.0])
         best[row, rank] = np.stack(_zoom(x[:, row], a, b, ends[row, k], ends[row, k + 2], p), axis=1)
-        return [_witness(target, *lanes[np.argmax(lanes[:, 0]), 1:], p) for target, lanes in zip(targets, best)]
+        best = best[np.arange(len(targets)), np.argmax(best[:, :, 0], axis=1)]
+        return _witnesses(targets, x, best[:, 1], best[:, 2], p)
 
 
-def _witness(target, t1, t2, p):
-    """Payoff and unit-mass pair of the chord from t1 to t2 through x / max(x), scaled back to x."""
-    ends = np.array([t1, t2])
-    score, (a1, a2) = _chord((target / target.max())[:, None], ends[:1], ends[1:], p)
-    if not score[0] >= 0.0:
-        raise WitnessError(f"no chord through {target.tolist()} meets its moments to rounding at p={p!r}")
-    mass = a1[0] + a2[0]
-    c = (target.max() * mass) ** (1.0 / p)
-    f, g = (c * u for u in _hexagon(ends, p)[:2])
-    if not np.isfinite(_moments(f, g, p)).all():
-        raise NonFiniteError(f"scaling the witness for {target.tolist()} back from max(x) = 1"
-                             f" overflows float64 at p={p!r}")
-    atoms = zip([float(a1[0] / mass), float(a2[0] / mass)], f.tolist(), g.tolist())
-    return float(target.max() * score[0]), StepPair(tuple(atoms))
+def _witnesses(targets, x, t1, t2, p):
+    """Payoff and unit-mass pair of each chord from t1 to t2 through a column of x, scaled back to its target row.
+
+    One numpy pass over the chunk, bit for bit the rows' own: the scale-back
+    c = (max(x) (a1 + a2))^(1/p) stays a scalar pow per row, which numpy's
+    vector pow can round differently.  The first row in order whose chord
+    misses x raises ``WitnessError``, or whose scaled witness overflows
+    ``NonFiniteError``.
+    """
+    top = targets.max(axis=1)
+    f, g, v = _hexagon(np.stack([t1, t2]), p)
+    score, (a1, a2) = _chord(x, (f[0], g[0], [u[0] for u in v]), (f[1], g[1], [u[1] for u in v]), p)
+    mass = a1 + a2
+    c = np.array([m ** (1.0 / p) for m in top * mass])
+    f, g = c * f, c * g
+    finite = np.isfinite(_moments(f, g, p)).all(axis=(0, 1))
+    weights, values = np.stack([a1 / mass, a2 / mass], axis=1).tolist(), (top * score).tolist()
+    found = []
+    for i, target in enumerate(targets):
+        if not score[i] >= 0.0:
+            raise WitnessError(f"no chord through {target.tolist()} meets its moments to rounding at p={p!r}")
+        if not finite[i]:
+            raise NonFiniteError(f"scaling the witness for {target.tolist()} back from max(x) = 1"
+                                 f" overflows float64 at p={p!r}")
+        found.append((values[i], StepPair(tuple(zip(weights[i], f[:, i].tolist(), g[:, i].tolist())))))
+    return found
 
 
 def format_witness(x: LambdaPoint, p: float, result: BruteForceResult) -> str:

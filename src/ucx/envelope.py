@@ -19,6 +19,7 @@ three-way sandwich test meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,14 +37,31 @@ class ObstacleGrid:
 
     Points lie on the compact boundary section where the largest p-th root
     is 1; every boundary point is a nonnegative multiple of one of them or
-    of its x1 <-> x2 mirror.
+    of its x1 <-> x2 mirror.  Both arrays are stored read-only, a writable
+    one passed in as a copy, so the upper hull that ``concavify`` reads is
+    built once per grid, at its first query, and cannot go stale.
     """
 
     points: np.ndarray
     values: np.ndarray
 
+    def __post_init__(self) -> None:
+        for name in ("points", "values"):
+            a = np.asarray(getattr(self, name))
+            if a.flags.writeable:
+                a = a.copy()
+                a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
     def __len__(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def _hull(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+        """x1 + x2, and (r, h) = (x3, value) / (x1 + x2) with the indices of their upper hull's vertices."""
+        sums = self.points[:, 0] + self.points[:, 1]
+        r, h = self.points[:, 2] / sums, self.values / sums
+        return sums, r, h, _upper_hull(r, h)
 
 
 @dataclass(frozen=True)
@@ -107,7 +125,8 @@ def concavify(grid: ObstacleGrid, x: LambdaPoint) -> EnvelopeQuery:
     concave hull of those points.  At most two samples carry weight, the
     hull vertices bracketing x3 / (2 x1); their weights hit x after each
     sample is averaged with its mirror.  Under-approximates the true
-    concave majorant by grid resolution.
+    concave majorant by grid resolution.  The hull is the grid's, built at
+    its first query and shared by the rest.
     """
     if x.x1 != x.x2:
         raise DomainError(f"concavify answers queries with x1 == x2 only, got {x}")
@@ -115,9 +134,7 @@ def concavify(grid: ObstacleGrid, x: LambdaPoint) -> EnvelopeQuery:
         return EnvelopeQuery(0.0, ())
     if not x.x1 > 0.0:
         raise InfeasibleError(f"query {x} is outside the cone")
-    sums = grid.points[:, 0] + grid.points[:, 1]
-    r, h = grid.points[:, 2] / sums, grid.values / sums
-    hull = _upper_hull(r, h)
+    sums, r, h, hull = grid._hull
     # the mass 2 x1 is never formed: it overflows from x1 = 2**1023 on
     rs, rq = r[hull], (0.5 * x.x3) / x.x1
     if not rs[0] <= rq <= rs[-1] * (1.0 + RAY_RTOL):

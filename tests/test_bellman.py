@@ -251,19 +251,42 @@ class TestBruteForce:
 
     def test_witness_moments_are_checked(self, monkeypatch):
         # a witness whose moments miss x by more than rounding is an error,
-        # not a lower bound: move 1e-9 of weight between two atoms
-        atoms_of = bellman._witness
+        # not a lower bound: move 1e-9 of weight between the two atoms of the
+        # middle row of a three-row chunk, which is the row named
+        witnesses = bellman._witnesses
 
         def perturbed(*args):
-            value, pair = atoms_of(*args)
+            found = witnesses(*args)
+            value, pair = found[1]
             (a0, f0, g0), (a1, f1, g1) = pair.atoms
-            return value, StepPair(((a0 - 1e-9, f0, g0), (a1 + 1e-9, f1, g1)))
+            found[1] = value, StepPair(((a0 - 1e-9, f0, g0), (a1 + 1e-9, f1, g1)))
+            return found
 
-        x = LambdaPoint(1.0, 1.0, 1.0)
-        assert brute_force_bellman(x, 3.0).residual <= 1e-14
-        monkeypatch.setattr(bellman, "_witness", perturbed)
-        with pytest.raises(WitnessError, match="off by more than rounding"):
-            brute_force_bellman(x, 3.0)
+        points = [LambdaPoint(1.0, 1.0, 1.0), LambdaPoint(1.0, 0.5, 0.7), LambdaPoint(0.5, 1.0, 2.0)]
+        assert all(res.residual <= 1e-14 for res in brute_force_batch(points, 3.0))
+        monkeypatch.setattr(bellman, "_witnesses", perturbed)
+        with pytest.raises(WitnessError, match="off by more than rounding") as raised:
+            brute_force_batch(points, 3.0)
+        assert "for [1.0, 0.5, 0.7] has moments" in str(raised.value)
+
+    def test_first_witness_error_in_input_order(self, monkeypatch):
+        # one chunk holds a row whose scale-back overflows and a row whose chord, its far end
+        # moved by 1e-3, misses its moments: the first of them in input order raises, as with
+        # one call per point
+        big, unit = LambdaPoint(1.7e308, 1.7e308, 1.7e308), LambdaPoint(1.0, 1.0, 1.0)
+        witnesses = bellman._witnesses
+
+        def missed(targets, x, t1, t2, p):
+            return witnesses(targets, x, t1, np.where(targets.max(axis=1) == 1.0, t2 + 1e-3, t2), p)
+
+        monkeypatch.setattr(bellman, "_witnesses", missed)
+        overflow, miss = (NonFiniteError, "overflows"), (WitnessError, r"no chord through \[1.0, 1.0, 1.0\]")
+        for points, (error, message) in [([big, unit], overflow), ([unit, big], miss)]:
+            with pytest.raises(error, match=message):
+                brute_force_batch(points, 2.0)
+            with pytest.raises(error, match=message):
+                for x in points:
+                    brute_force_bellman(x, 2.0)
 
     def test_witness_consistent_with_reported_value(self):
         x = LambdaPoint(1.0, 1.0, 1.0)
@@ -381,8 +404,8 @@ class TestBatch:
         points = slice_rows(p, 25)[1:-1]
         chords, chord = [], bellman._chord
 
-        def spy(x, t1, t2, p):
-            scored = chord(x, t1, t2, p)
+        def spy(x, end1, end2, p):
+            scored = chord(x, end1, end2, p)
             chords.append(np.size(scored[0]))
             return scored
 
@@ -451,6 +474,46 @@ class TestBatch:
         points = slice_rows(p, 25)
         for x, res in zip(points, brute_force_batch(points, p)):
             assert abs(res.value - (1.0 - x.x3 / 16.0)) <= 1e-14
+
+
+class TestOnce:
+    """The search computes each hexagon point once, bit for bit as a fresh evaluation."""
+
+    def test_period_reduction_equals_np_mod(self):
+        # at the multiples of 3 in the search's range [0, 6.1) and their float
+        # neighbours, at both ends of the range, and at 10^6 seeded points
+        top = 6.1
+        special = [0.0, np.nextafter(0.0, 1.0), np.nextafter(top, 0.0)]
+        for m in [3.0, 6.0]:
+            special += [np.nextafter(m, 0.0), m, np.nextafter(m, np.inf)]
+        t = np.concatenate([special, np.random.default_rng(30).uniform(0.0, top, 10**6)])
+        assert bellman._mod3(t).tobytes() == np.mod(t, 3.0).tobytes()
+
+    @pytest.mark.parametrize("p", [1.04, 2.0, 4.0, 863.4811838872816])
+    def test_search_passes_t_within_the_reduced_range(self, p, monkeypatch):
+        # the zoom's first ends reach 3 + 1/64, and far ends 3 past a first end
+        seen, hexagon = [], bellman._hexagon
+
+        def spy(t, p):
+            seen.append(np.asarray(t).ravel())
+            return hexagon(t, p)
+
+        monkeypatch.setattr(bellman, "_hexagon", spy)
+        points = slice_rows(p, 25) + [LambdaPoint(1.0, 0.5, 0.7), LambdaPoint(0.5, 1.0, 1.2)]
+        brute_force_batch(points, p)
+        t = np.concatenate(seen)
+        assert 0.0 <= t.min() and t.max() < 6.1 and not np.signbit(t).any()
+
+    @pytest.mark.parametrize("p", [1.04, 4.0])
+    def test_far_end_point_is_the_hexagons(self, p):
+        # _far_end hands back the hexagon point at the root it lands on, the one _chord scores
+        x = np.array([1.0, 0.5, 0.7])[:, None, None]
+        t1 = (np.arange(3 * bellman.SCAN_PER_SIDE) / bellman.SCAN_PER_SIDE)[None]
+        normal = bellman._cross(bellman._hexagon(t1, p)[2], x)
+        with np.errstate(all="ignore"):  # as in the search, where degenerate steps are discarded
+            far, end = bellman._far_end(t1, normal, t1, t1 + 3.0, p)
+        for ours, fresh in zip(end, bellman._hexagon(far, p)):
+            assert np.asarray(ours).tobytes() == np.asarray(fresh).tobytes()
 
 
 class TestExact:

@@ -3,8 +3,10 @@ import pytest
 
 from anchors import PAYOFF_P15_E1
 from helpers import boundary_value, face_root_grid, mirrored
+from ucx import envelope
 from ucx.bellman import brute_force_bellman
 from ucx.certificates import certificate
+from ucx.cli import main as cli_main
 from ucx.domain import LambdaPoint, contains
 from ucx.envelope import ObstacleGrid, concavify, sample_boundary
 from ucx.errors import DomainError, InfeasibleError
@@ -128,6 +130,36 @@ class TestConcavify:
         q = concavify(grid, LambdaPoint(1.0, 1.0, 2.0))
         assert q.result == 0.5
         assert q.active_weights == ((0, 0.5), (1, 2.0))
+
+    def test_arrays_are_read_only_copies(self):
+        # the grid keeps read-only arrays, so the hull it caches cannot go stale;
+        # a caller's writable arrays are copied and stay the caller's
+        points, values = np.array([[1.0, 1.0, 0.0], [0.25, 0.25, 1.0]]), np.array([1.0, 0.0])
+        grid = ObstacleGrid(points, values)
+        assert not grid.points.flags.writeable and not grid.values.flags.writeable
+        with pytest.raises(ValueError):
+            grid.values[0] = 2.0
+        assert concavify(grid, LambdaPoint(1.0, 1.0, 2.0)).result == 0.5
+        points[1, 2], values[0] = 3.0, 7.0
+        assert points.flags.writeable and values.flags.writeable
+        assert concavify(grid, LambdaPoint(1.0, 1.0, 2.0)).result == 0.5
+        assert ObstacleGrid(grid.points, grid.values).points is grid.points
+
+    def test_one_hull_per_grid(self, monkeypatch, capsys):
+        # every query of a grid, and every row of one `ucx envelope`, reads one hull
+        hulls, upper_hull = [], envelope._upper_hull
+
+        def spy(r, h):
+            hulls.append(len(r))
+            return upper_hull(r, h)
+
+        monkeypatch.setattr(envelope, "_upper_hull", spy)
+        grid = sample_boundary(4.0, 24)
+        assert slice_values(grid, np.linspace(0.0, 16.0, 9)) == slice_values(grid, np.linspace(0.0, 16.0, 9))
+        assert hulls == [len(grid)]
+        assert cli_main(["envelope", "--p", "4", "--grid-n", "25", "--n-per-face", "60"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 26
+        assert hulls == [len(grid), 119]
 
     def test_deterministic(self, grid_p15):
         x = LambdaPoint(1.0, 1.0, 1.7)
